@@ -116,13 +116,14 @@ def refinement_pools_from_arcs(
     """
     p = num_partitions
     part = np.asarray(part, dtype=np.int64)
-    same = part[src] == part[dst]
+    dst_part = part[dst]
+    same = part[src] == dst_part
 
     n = num_vertices
     in_w = np.bincount(src[same], weights=ew[same], minlength=n)
 
     cross_src = src[~same]
-    cross_part = part[dst[~same]]
+    cross_part = dst_part[~same]
     if len(cross_src) == 0:
         return RefinementPass(b=np.zeros((p, p)), pools={}, lp=None, pairs=[])
     key = cross_src * np.int64(p) + cross_part
@@ -144,29 +145,32 @@ def refinement_pools_from_arcs(
     if len(best_v) == 0:
         return RefinementPass(b=np.zeros((p, p)), pools={}, lp=None, pairs=[])
 
-    b = np.zeros((p, p))
-    pools: dict[tuple[int, int], np.ndarray] = {}
+    # Group movers by pair (i, j) = (own, best foreign partition) with
+    # one sort: pair, then best gain first, then vertex id.
     flat = part[best_v] * np.int64(p) + best_j
-    for k in np.unique(flat):
-        i, j = int(k // p), int(k % p)
-        mask = flat == k
-        verts = best_v[mask]
-        g = gain[mask]
-        order = np.lexsort((verts, -g))  # best gain first, id tie-break
-        pools[(i, j)] = verts[order]
-        b[i, j] = len(verts)
+    order = np.lexsort((best_v, -gain, flat))
+    flat, movers = flat[order], best_v[order]
+    bounds = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1], True])
+    starts = bounds[:-1]
+    pair_i, pair_j = flat[starts] // p, flat[starts] % p
+    counts = np.diff(bounds).astype(np.float64)
+    pairs = list(zip(pair_i.tolist(), pair_j.tolist()))
+    cuts = bounds.tolist()
+    pools = {
+        pair: movers[lo:hi] for pair, lo, hi in zip(pairs, cuts, cuts[1:])
+    }
+    b = np.zeros((p, p))
+    b[pair_i, pair_j] = counts
 
-    pairs = sorted(pools)
     v = len(pairs)
     a_eq = np.zeros((p, v))
-    for k, (i, j) in enumerate(pairs):
-        a_eq[i, k] -= 1.0
-        a_eq[j, k] += 1.0
+    a_eq[pair_i, np.arange(v)] = -1.0
+    a_eq[pair_j, np.arange(v)] = 1.0
     lp = LinearProgram(
         c=np.ones(v),
         A_eq=a_eq,
         b_eq=np.zeros(p),
-        upper_bounds=np.array([b[i, j] for i, j in pairs]),
+        upper_bounds=counts,
         maximize=True,
         variable_names=[f"l{i}_{j}" for i, j in pairs],
     )
@@ -201,10 +205,14 @@ def refine_partition(
     stats = RefineStats(cut_before=edge_cut(graph, part))
     current_cut = stats.cut_before
     forced_strict = False
+    src = graph.arc_sources()  # one per call, not one per round
 
     for round_idx in range(max_rounds):
         strict = forced_strict or round_idx >= strict_after
-        pass_ = refinement_pools(graph, part, num_partitions, strict)
+        pass_ = refinement_pools_from_arcs(
+            src, graph.adj, graph.eweights, graph.num_vertices,
+            part, num_partitions, strict,
+        )
         if pass_.lp is None:
             break
         result: LPResult = solve_with_backend(

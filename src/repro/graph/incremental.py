@@ -50,6 +50,17 @@ def _as_edge_array(edges) -> np.ndarray:
     return arr.reshape(-1, 2)
 
 
+def _lookup(
+    sorted_keys: np.ndarray, queries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(positions, found)`` of ``queries`` in the sorted ``sorted_keys``."""
+    pos = np.searchsorted(sorted_keys, queries)
+    found = np.zeros(len(queries), dtype=bool)
+    inside = pos < len(sorted_keys)
+    found[inside] = sorted_keys[pos[inside]] == queries[inside]
+    return pos, found
+
+
 @dataclass(frozen=True)
 class GraphDelta:
     """An incremental change to a graph.
@@ -202,6 +213,17 @@ def apply_delta(
 ) -> IncrementalResult:
     """Materialise ``G'`` from ``G`` and a :class:`GraphDelta`.
 
+    The new CSR arrays are spliced from the old ones instead of being
+    rebuilt from an edge list: the arcs of ``graph`` are already sorted
+    by ``(source, target)``, deleted edges are located by binary search
+    on those arc keys, the surviving arcs are masked and renumbered (the
+    renumbering is monotone, so they stay sorted) and the few added arcs
+    are inserted at their sorted positions.  The cost is one O(|E|) copy
+    of the arc arrays plus O(k log |E|) for ``k`` deleted or added
+    edges; nothing of size |E| is sorted.  The result is the graph
+    :meth:`CSRGraph.from_edges` would build from the surviving and added
+    edges, weights included.
+
     Parameters
     ----------
     strict:
@@ -216,7 +238,8 @@ def apply_delta(
         merged; that is almost always an upstream bug, so it raises
         :class:`GraphError` by default.  Pass ``accumulate_weights=True``
         to accept it and sum the weights (interaction costs accumulating
-        onto an existing link).
+        onto an existing link), old weight first, then the added ones in
+        delta order.
     """
     n_old = graph.num_vertices
     n_add = delta.num_added_vertices
@@ -250,80 +273,60 @@ def apply_delta(
     n_new = len(survivors) + n_add
     new_vertex_ids = np.arange(len(survivors), n_new, dtype=np.int64)
 
-    # --- surviving old edges ------------------------------------------
-    old_edges = graph.edge_array()
-    old_w = graph.edge_weight_array()
-    keep = ~deleted_mask[old_edges[:, 0]] & ~deleted_mask[old_edges[:, 1]]
+    # --- surviving old arcs ------------------------------------------
+    # Arcs are sorted by (source, target), so their packed keys
+    # ``source * n + target`` are sorted too and every lookup below is a
+    # binary search.
+    src, dst, arc_w = graph.arc_sources(), graph.adj, graph.eweights
+    keep = ~(deleted_mask[src] | deleted_mask[dst])
     if len(delta.deleted_edges):
-        # Canonical (min, max) packed keys on both sides: deletions may be
-        # specified in either orientation, and the match is a single
-        # vectorized np.isin instead of a Python-speed set comprehension
-        # over every surviving edge (this runs on the incremental hot
-        # path for every delta).
+        # Deletions may name either orientation: the graph is symmetric,
+        # so an arc is found iff its mirror is.  Deletions of edges that
+        # vanish with a deleted vertex in the same delta are hits.
         de = delta.deleted_edges
-        del_keys = (
-            np.minimum(de[:, 0], de[:, 1]) * np.int64(n_old)
-            + np.maximum(de[:, 0], de[:, 1])
-        )
-        keys = (
-            np.minimum(old_edges[:, 0], old_edges[:, 1]) * np.int64(n_old)
-            + np.maximum(old_edges[:, 0], old_edges[:, 1])
-        )
-        if strict:
-            # A deletion key that matches nothing in the pre-delta edge
-            # set is an upstream id bug, not a no-op (deletions of edges
-            # that vanish with a deleted vertex in the same delta are
-            # fine: those edges are still in `keys`).
-            hit = np.isin(del_keys, keys)
-            if not hit.all():
-                missing = de[~hit][:5]
-                raise GraphError(
-                    f"deleted_edges entries do not exist in the graph: "
-                    f"{[tuple(int(x) for x in row) for row in missing]}"
-                    f"{'...' if (~hit).sum() > 5 else ''} "
-                    f"(pass strict=False to skip missing deletions)"
-                )
-        keep &= ~np.isin(keys, del_keys)
-    old_edges, old_w = old_edges[keep], old_w[keep]
-    remapped = old_to_new[old_edges]
+        n64 = np.int64(n_old)
+        arc_keys = src * n64 + dst
+        fwd, hit = _lookup(arc_keys, de[:, 0] * n64 + de[:, 1])
+        if strict and not hit.all():
+            missing = de[~hit][:5]
+            raise GraphError(
+                f"deleted_edges entries do not exist in the graph: "
+                f"{[tuple(int(x) for x in row) for row in missing]}"
+                f"{'...' if (~hit).sum() > 5 else ''} "
+                f"(pass strict=False to skip missing deletions)"
+            )
+        keep[fwd[hit]] = False
+        keep[np.searchsorted(arc_keys, de[hit, 1] * n64 + de[hit, 0])] = False
+    # old_to_new is monotone, so the renumbered arcs stay sorted.
+    src = old_to_new[src[keep]]
+    dst = old_to_new[dst[keep]]
+    arc_w = arc_w[keep]
 
-    # --- added edges ---------------------------------------------------
-    def remap_endpoint(e: np.ndarray) -> np.ndarray:
-        if n_old == 0:
-            return e.copy()
-        out = np.where(e < n_old, old_to_new[np.minimum(e, n_old - 1)], 0)
-        is_new_ep = e >= n_old
-        out = np.where(is_new_ep, e - n_old + len(survivors), out)
-        return out
-
+    # --- added arcs ----------------------------------------------------
+    ins_src = np.zeros(0, dtype=np.int64)
     if len(delta.added_edges):
-        add_remapped = remap_endpoint(delta.added_edges)
+        added = np.concatenate([old_to_new, new_vertex_ids])[delta.added_edges]
         add_w = (
-            np.ones(len(add_remapped))
+            np.ones(len(added))
             if delta.added_eweights is None
             else np.asarray(delta.added_eweights, dtype=np.float64)
         )
+        # Canonical (min, max) keys in the new id space cover both
+        # orientations.
+        m = np.int64(n_new)
+        lo, hi = added.min(axis=1), added.max(axis=1)
+        arc_keys = src * m + dst
+        uniq, first, inv = np.unique(
+            lo * m + hi, return_index=True, return_inverse=True
+        )
+        at, on_old = _lookup(arc_keys, uniq)
         if not accumulate_weights:
             # An added edge that coincides with a surviving old edge — or
-            # with another added edge — would be merged by from_edge_list
-            # with the weights *summed*: a silent doubling for unit
-            # weights.  Compare canonical packed keys in the new id space
-            # (covers both orientations).
-            m = np.int64(n_new)
-            add_keys = (
-                np.minimum(add_remapped[:, 0], add_remapped[:, 1]) * m
-                + np.maximum(add_remapped[:, 0], add_remapped[:, 1])
-            )
-            order = np.argsort(add_keys, kind="stable")
-            internal = np.zeros(len(add_keys), dtype=bool)
-            internal[order[1:]] = add_keys[order[1:]] == add_keys[order[:-1]]
-            clash = internal
-            if len(remapped):
-                surviving_keys = (
-                    np.minimum(remapped[:, 0], remapped[:, 1]) * m
-                    + np.maximum(remapped[:, 0], remapped[:, 1])
-                )
-                clash = clash | np.isin(add_keys, surviving_keys)
+            # with an earlier added edge — would have its weight *summed*
+            # into that edge: a silent doubling for unit weights.
+            clash = np.ones(len(inv), dtype=bool)
+            clash[first] = False
+            clash |= on_old[inv]
             if clash.any():
                 offending = delta.added_edges[clash][:5]
                 raise GraphError(
@@ -332,10 +335,33 @@ def apply_delta(
                     f"{'...' if clash.sum() > 5 else ''} (pass "
                     f"accumulate_weights=True to sum the weights instead)"
                 )
-        all_edges = np.vstack([remapped, add_remapped])
-        all_w = np.concatenate([old_w, add_w])
-    else:
-        all_edges, all_w = remapped, old_w
+        if np.any(lo == hi):
+            raise GraphError("self-loops are not allowed")
+        # Weight of each distinct added edge: the surviving old weight
+        # first (if any), then the added weights in delta order — the
+        # summation order of an edge-list rebuild.
+        merged = np.zeros(len(uniq))
+        merged[on_old] += arc_w[at[on_old]]
+        np.add.at(merged, inv, add_w)
+        if on_old.any():
+            old_lo, old_hi = uniq[on_old] // m, uniq[on_old] % m
+            arc_w[at[on_old]] = merged[on_old]
+            arc_w[np.searchsorted(arc_keys, old_hi * m + old_lo)] = merged[on_old]
+        new_keys = uniq[~on_old]
+        u, v, w = new_keys // m, new_keys % m, merged[~on_old]
+        ins_src = np.concatenate([u, v])
+        ins_dst = np.concatenate([v, u])
+        order = np.argsort(ins_src * m + ins_dst)
+        ins_src, ins_dst = ins_src[order], ins_dst[order]
+        at = np.searchsorted(arc_keys, ins_src * m + ins_dst)
+        dst = np.insert(dst, at, ins_dst)
+        arc_w = np.insert(arc_w, at, np.concatenate([w, w])[order])
+
+    xadj = np.zeros(n_new + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(src, minlength=n_new) + np.bincount(ins_src, minlength=n_new),
+        out=xadj[1:],
+    )
 
     # --- weights / coords ----------------------------------------------
     vweights = np.concatenate(
@@ -358,8 +384,8 @@ def apply_delta(
         )
         coords = np.vstack([graph.coords[survivors], add_coords])
 
-    new_graph = CSRGraph.from_edges(
-        n_new, all_edges, eweights=all_w, vweights=vweights, coords=coords
+    new_graph = CSRGraph(
+        xadj, dst, vweights=vweights, eweights=arc_w, coords=coords, validate=False
     )
     is_new = np.zeros(n_new, dtype=bool)
     is_new[new_vertex_ids] = True
@@ -489,7 +515,7 @@ class DeltaComposer:
 
         # --- edge deletions (against the pre-delta edge state) ----------
         # Repeats of the same key within one delta are tolerated, exactly
-        # as apply_delta's vectorized np.isin treats them (dedup, not a
+        # as apply_delta's binary search treats them (dedup, not a
         # miss); only a key that was never live this step is an error.
         seen_this_fold: set[tuple[int, int]] = set()
         for u, v in d.deleted_edges:

@@ -11,8 +11,8 @@ basis reuse wins:
 * the basis inverse is maintained explicitly (product-form eta updates on
   top of an LU factorization from :func:`scipy.linalg.lu_factor`,
   refactorized every :attr:`RevisedSimplexSolver.refactor_every` pivots
-  for numerical hygiene), so one pivot costs ``O(m²)`` plus an ``O(m)``
-  pricing pass per *nonbasic* column instead of a full tableau sweep;
+  for numerical hygiene), so one pivot costs ``O(m²)`` plus one pricing
+  matvec over the real columns instead of a full tableau sweep;
 * upper bounds are handled natively (``0 ≤ x ≤ u`` with nonbasic-at-bound
   states and bound-flip steps), so the constraint matrix has one row per
   partition rather than one per finite bound — the balance LP drops from
@@ -259,7 +259,7 @@ class RevisedSimplexSolver:
         art_sign = np.where(b >= 0.0, 1.0, -1.0)
         A[np.arange(m), art0 + np.arange(m)] = art_sign
 
-        lower = np.zeros(n_total)
+        # Every column's lower bound is 0 (LinearProgram has no other).
         upper = np.concatenate([ub_struct, np.full(n_slack + m, np.inf)])
         cost2 = np.concatenate([c0, np.zeros(n_slack + m)])
 
@@ -275,9 +275,13 @@ class RevisedSimplexSolver:
         )
         name_to_col = {nm: j for j, nm in enumerate(names_all)}
 
+        # Contiguous copies for the pivot loop: the priced real columns
+        # (artificials never enter) and A's columns as rows for FTRAN.
+        A_real = np.ascontiguousarray(A[:, :art0])
+        A_cols = np.ascontiguousarray(A.T)
+
         status = np.full(n_total, _AT_LOWER, dtype=np.int8)
         basic = np.zeros(m, dtype=np.int64)
-        price_cols = np.arange(art0, dtype=np.int64)  # artificials never enter
         max_iter = self.max_iter or (200 + 20 * (m + n_total))
         feas_tol = 1e-7 * max(1.0, float(np.abs(b).max()) if m else 1.0)
 
@@ -327,39 +331,43 @@ class RevisedSimplexSolver:
         def run_phase(cost: np.ndarray, phase: int) -> LPStatus | None:
             """Pivot until optimal (None) or a failure status."""
             nonlocal Binv, xB, use_bland, degen_streak, since_refactor
+            cost_real, st = cost[:art0], status[:art0]
             while True:
                 if stats.total_iterations + 1 > max_iter:
                     return LPStatus.ITERATION_LIMIT
-                # --- pricing: reduced costs of nonbasic real columns ----
+                # --- pricing: reduced costs of the real columns ---------
+                # One matvec over every real column; basic columns are
+                # then masked out (never eligible to enter).
                 y = cost[basic] @ Binv
-                nb = price_cols[status[price_cols] != _BASIC]
-                if len(nb) == 0:
-                    return None
-                d = cost[nb] - y @ A[:, nb]
-                at_low = status[nb] == _AT_LOWER
-                viol = np.where(at_low, -d, d)
+                d = cost_real - y @ A_real
+                viol = np.where(st == _AT_LOWER, -d, d)
+                viol[st == _BASIC] = -np.inf
                 eligible = viol > tol
                 if not eligible.any():
                     return None
                 if use_bland:
-                    j_local = int(np.flatnonzero(eligible)[0])
+                    j = int(np.flatnonzero(eligible)[0])
                 else:
                     # argmax returns the first maximum -> lowest index tie-break
-                    j_local = int(np.argmax(viol))
-                j = int(nb[j_local])
+                    j = int(np.argmax(viol))
                 s = 1.0 if status[j] == _AT_LOWER else -1.0
 
                 # --- FTRAN + bounded ratio test -------------------------
-                w = Binv @ A[:, j]
+                w = Binv @ A_cols[j]
                 sw = s * w
+                upper_b = upper[basic]
+                dec = sw > tol  # basic value decreases toward 0
+                inc = (sw < -tol) & np.isfinite(upper_b)
                 steps = np.full(m, np.inf)
-                dec = sw > tol  # basic value decreases toward lower bound
-                steps[dec] = (xB[dec] - lower[basic[dec]]) / sw[dec]
-                inc = (sw < -tol) & np.isfinite(upper[basic])
-                steps[inc] = (upper[basic[inc]] - xB[inc]) / (-sw[inc])
+                np.divide(
+                    np.where(dec, xB, upper_b - xB),
+                    np.abs(sw),
+                    out=steps,
+                    where=dec | inc,
+                )
                 np.maximum(steps, 0.0, out=steps)
                 t_row = float(steps.min()) if m else np.inf
-                t_bound = upper[j] - lower[j]
+                t_bound = upper[j]
 
                 if not np.isfinite(t_row) and not np.isfinite(t_bound):
                     # Phase 1 is bounded below by zero, so an unbounded
@@ -397,9 +405,9 @@ class RevisedSimplexSolver:
                     basic[r] = j
                     # Product-form eta update of the explicit inverse.
                     eta_row = Binv[r] / w[r]
-                    Binv -= np.outer(w, eta_row)
+                    Binv -= w[:, None] * eta_row
                     Binv[r] = eta_row
-                    xB[r] = (lower[j] if s > 0 else upper[j]) + s * t_row
+                    xB[r] = (0.0 if s > 0 else upper[j]) + s * t_row
                     since_refactor += 1
                     if since_refactor >= self.refactor_every:
                         since_refactor = 0
@@ -427,7 +435,7 @@ class RevisedSimplexSolver:
                     upper[art0:] = 0.0  # artificials pinned for phase 2
                     Binv = inv
                     xB = Binv @ nonbasic_upper_rhs()
-                    if np.all(xB >= lower[basic] - feas_tol) and np.all(
+                    if np.all(xB >= -feas_tol) and np.all(
                         xB <= upper[basic] + feas_tol
                     ):
                         warm = True
@@ -507,7 +515,7 @@ class RevisedSimplexSolver:
         x_full = np.zeros(n_total)
         up = np.flatnonzero(status == _AT_UPPER)
         x_full[up] = upper[up]
-        x_full[basic] = np.clip(xB, lower[basic], upper[basic])
+        x_full[basic] = np.clip(xB, 0.0, upper[basic])
         x = x_full[:n].copy()
         x[np.abs(x) < tol] = 0.0
         obj = float(c0 @ x)
