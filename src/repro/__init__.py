@@ -49,8 +49,6 @@ Package map (see DESIGN.md for the full inventory):
 =================  ====================================================
 """
 
-import warnings as _warnings
-
 from repro._version import __version__
 from repro.errors import (
     GraphError,
@@ -116,34 +114,3 @@ __all__ = [
     "register_initial_partitioner",
     "rsb_partition",
 ]
-
-# Deprecated top-level spellings (deliberately absent from __all__ so
-# ``from repro import *`` stays warning-free).  The classes themselves
-# are not deprecated — they are the session's engine and stay canonical
-# under repro.core — but the *top-level* re-exports predate the session
-# API and steer new code away from the one documented front door.
-_DEPRECATED_TOP_LEVEL = {
-    "IncrementalGraphPartitioner": (
-        "repro.core", "repro.open_session(...) (or repro.core."
-        "IncrementalGraphPartitioner for custom drivers)",
-    ),
-    "StreamingPartitioner": (
-        "repro.core", "repro.open_session(...) (or repro.core."
-        "StreamingPartitioner for custom drivers)",
-    ),
-}
-
-
-def __getattr__(name: str):
-    """Deprecation shims: old top-level spellings warn and forward."""
-    if name in _DEPRECATED_TOP_LEVEL:
-        module, replacement = _DEPRECATED_TOP_LEVEL[name]
-        _warnings.warn(
-            f"repro.{name} is deprecated; use {replacement}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(module), name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -35,8 +35,6 @@ Shipped checkers (one module each under ``checkers/``):
            LP solves...) directly inside ``async def`` bodies
 ``RPR5xx`` broad excepts: ``except Exception`` must re-raise or carry
            a suppression naming why swallowing is intentional
-``RPR6xx`` deprecation: internal code never imports the deprecated
-           top-level shims
 ``RPR7xx`` interprocedural dataflow: transitive async blocking
            (RPR701), lock-order cycles (RPR702), wire error-code
            totality vs reachable raises (RPR703), determinism taint

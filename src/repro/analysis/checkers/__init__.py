@@ -3,7 +3,7 @@
 Registration order below fixes report ordering; new checkers ship one
 module per invariant and one ``RPRx0x`` code block per domain (1xx
 determinism, 2xx error taxonomy, 3xx lock discipline, 4xx async
-hygiene, 5xx broad excepts, 6xx deprecation, 7xx interprocedural
+hygiene, 5xx broad excepts, 7xx interprocedural
 dataflow over the project call graph, 8xx monolithic-assembly bans,
 9xx timing discipline).
 """
@@ -14,7 +14,6 @@ from repro.analysis.checkers import (  # noqa: F401
     lock_discipline,
     async_hygiene,
     broad_except,
-    deprecation,
     transitive_blocking,
     lock_order,
     error_flow,

@@ -38,8 +38,8 @@ Subcommands:
   ...`` — drive a running service (wire protocol) or gateway (--http).
 * ``repro-igp lint [PATHS...] [--baseline F] [--format text|json]`` —
   run the repro.analysis checker suite (determinism, error taxonomy,
-  lock discipline, async hygiene, broad-except, deprecation, timing
-  discipline) over the package.  Exit 0 clean, 1 findings, 2
+  lock discipline, async hygiene, broad-except, monolith assembly,
+  timing discipline) over the package.  Exit 0 clean, 1 findings, 2
   usage/internal error.
 * ``repro-igp trace tail|summarize|export TRACE.jsonl`` — read a span
   trace recorded with ``--trace-file`` (tail the last spans, aggregate

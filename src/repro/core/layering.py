@@ -16,9 +16,13 @@ bound the movement variables of the balance LP.
 
 The sweep below runs all partitions simultaneously: a frontier arc only
 propagates between same-partition endpoints, so per-partition BFS waves
-cannot interfere, and every directed arc is inspected O(depth) times in
-pure-numpy batches (no per-vertex Python loops — see the vectorisation
-guidance in the domain guides).
+cannot interfere.  Each level reads only its frontier's adjacency rows
+through the graph view's ``rows()``, in pure-numpy batches (no
+per-vertex Python loops).  ``rows()`` returns a global-CSR-order
+subsequence of the arc arrays on every view, so the same keys reach
+``np.unique``/``np.bincount`` in the same order whether the graph is a
+:class:`~repro.graph.csr.CSRGraph` or a sharded graph read through a
+:class:`~repro.graph.frame.BoundaryFrame`.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.graph.csr import CSRGraph
 
 __all__ = ["LayeringResult", "layer_partitions"]
 
@@ -100,12 +102,18 @@ def _argmax_per_group(
 
 
 def layer_partitions(
-    graph: CSRGraph,
+    graph,
     part: np.ndarray,
     num_partitions: int,
     loads: np.ndarray | None = None,
 ) -> LayeringResult:
     """Run the Figure 3 layering over all partitions at once.
+
+    ``graph`` is a graph view (a :class:`~repro.graph.csr.CSRGraph` or a
+    :class:`~repro.graph.frame.BoundaryFrame`).  Level 0 reads the rows
+    of the view's boundary superset and tightens it to the exact
+    boundary; each deeper level reads only the rows of the previous
+    level's winners.
 
     ``loads`` (current per-partition weights) optionally steers the
     boundary-label tie-break toward lighter partitions, which keeps a
@@ -122,13 +130,13 @@ def layer_partitions(
     layer = np.full(n, -1, dtype=np.int64)
     priority = None if loads is None else np.asarray(loads, dtype=np.float64)
 
-    src = graph.arc_sources()
-    dst = graph.adj
-    same = part[src] == part[dst]
-
     # ---- layer 0: boundary vertices --------------------------------
-    cross_src = src[~same]
-    cross_lab = part[dst[~same]]
+    # Every cross arc's source is a boundary vertex, so the cross arcs
+    # of the superset's rows are exactly the graph's cross arcs.
+    bsrc, bdst, _ = graph.rows(graph.ensure_boundary(part))
+    cross = part[bsrc] != part[bdst]
+    cross_src = bsrc[cross]
+    cross_lab = part[bdst[cross]]
     if len(cross_src):
         # Count cross edges per (vertex, foreign partition).
         key = cross_src * np.int64(p) + cross_lab
@@ -136,27 +144,27 @@ def layer_partitions(
         g, l = _argmax_per_group(uniq // p, uniq % p, counts, priority)
         label[g] = l
         layer[g] = 0
-        frontier_mask = np.zeros(n, dtype=bool)
-        frontier_mask[g] = True
+        frontier = g  # sorted unique — exactly the boundary
     else:
-        frontier_mask = np.zeros(n, dtype=bool)
+        frontier = np.zeros(0, dtype=np.int64)
+    graph.set_boundary(frontier)
 
     # ---- layers 1..k: propagate inward within each partition --------
     depth = 0
-    while frontier_mask.any():
+    while len(frontier):
         depth += 1
-        active = frontier_mask[src] & same & (label[dst] < 0)
+        fsrc, fdst, _ = graph.rows(frontier)
+        active = (part[fsrc] == part[fdst]) & (label[fdst] < 0)
         if not active.any():
             break
-        v = dst[active]
-        lab = label[src[active]]
+        v = fdst[active]
+        lab = label[fsrc[active]]
         key = v * np.int64(p) + lab
         uniq, counts = np.unique(key, return_counts=True)
         g, l = _argmax_per_group(uniq // p, uniq % p, counts)
         label[g] = l
         layer[g] = depth
-        frontier_mask = np.zeros(n, dtype=bool)
-        frontier_mask[g] = True
+        frontier = g
 
     # ---- δ matrix ----------------------------------------------------
     delta = np.zeros((p, p), dtype=np.float64)

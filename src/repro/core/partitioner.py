@@ -39,6 +39,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.graph.csr import CSRGraph
+from repro.lp.backends import get_backend_spec
 from repro.lp.revised import BasisCarrier
 from repro.obs import get_tracer
 
@@ -54,6 +55,10 @@ class IGPConfig:
     Attributes mirror the paper's knobs: ``gamma_cap`` is the constant
     ``C`` of §2.3 (give up beyond it), ``refine`` selects IGPR,
     ``refine_strict_after`` is the round at which the ≥ test becomes >.
+    ``lp_backend`` must name a registered backend
+    (:func:`~repro.lp.backends.available_backends`); an unknown name
+    raises :class:`~repro.errors.UnknownBackendError` here rather than
+    at the first LP solve.
     """
 
     num_partitions: int = 32
@@ -71,6 +76,7 @@ class IGPConfig:
             raise ValidationError("need at least one partition")
         if any(g < 1.0 for g in self.gamma_schedule):
             raise ValidationError("gamma values must be >= 1")
+        get_backend_spec(self.lp_backend)
 
 
 @dataclass(frozen=True)
@@ -165,7 +171,16 @@ class IncrementalGraphPartitioner:
 
     # ------------------------------------------------------------------
     def repartition(self, graph: CSRGraph, part: np.ndarray) -> RepartitionResult:
-        """Run the pipeline; ``part`` may contain ``-1`` for new vertices."""
+        """Run the pipeline; ``part`` may contain ``-1`` for new vertices.
+
+        ``graph`` is a graph view: a :class:`~repro.graph.csr.CSRGraph`,
+        or a :class:`~repro.graph.frame.BoundaryFrame` over a sharded
+        graph (only the shards owning boundary rows are paged).  Every
+        phase reads arcs through ``rows()``, which returns a
+        global-CSR-order subsequence on both views, so labels, pivots,
+        stage records and quality bundles are bit-identical between
+        them.  λ comes from ``graph.total_vertex_weight``.
+        """
         cfg = self.config
         p = cfg.num_partitions
         tracer = get_tracer()
@@ -222,6 +237,8 @@ class IncrementalGraphPartitioner:
             with tracer.span("lp.move") as sp:
                 movers = select_movers(graph, part, layering, solution.moves)
                 part = apply_moves(part, movers)
+                if movers:
+                    graph.note_moves(np.concatenate(list(movers.values())))
             timings["move"] += sp.duration_s
 
             new_loads = partition_weights(graph, part, p)
@@ -277,147 +294,6 @@ class IncrementalGraphPartitioner:
 
         result.part = part
         result.quality_final = evaluate_partition(graph, part, p)
-        return result
-
-    # ------------------------------------------------------------------
-    def repartition_frame(self, frame, part: np.ndarray) -> RepartitionResult:
-        """:meth:`repartition` through a :class:`~repro.graph.frame
-        .BoundaryFrame` — the shard-native path.
-
-        Mirrors :meth:`repartition` phase for phase using the frame-native
-        twins in :mod:`repro.core.shardlp` and the frame metrics in
-        :mod:`repro.core.quality`; shares this instance's warm-start
-        carriers and :meth:`_solve_stage`, so labels, pivots, stage
-        records and quality bundles are bit-identical to running the
-        monolithic pipeline on ``frame.graph.to_csr()`` — without ever
-        assembling it.  λ comes from :attr:`~repro.graph.frame
-        .BoundaryFrame.total_vertex_weight` (monolithic summation order,
-        not the sharded handle's per-shard partial sums).
-        """
-        from repro.core.shardlp import (
-            assign_new_vertices_frame,
-            layer_partitions_frame,
-            refine_partition_frame,
-        )
-        from repro.core.quality import (
-            evaluate_partition_frame,
-            validate_partition_vector,
-        )
-
-        cfg = self.config
-        p = cfg.num_partitions
-        tracer = get_tracer()
-        timings = {"assign": 0.0, "layering": 0.0, "lp": 0.0, "move": 0.0, "refine": 0.0}
-
-        with tracer.span("lp.assign") as sp:
-            part = assign_new_vertices_frame(frame, part, p)
-        timings["assign"] = sp.duration_s
-
-        result = RepartitionResult(part=part, timings=timings)
-        result.quality_initial = evaluate_partition_frame(frame, part, p)
-
-        vweights = frame.vweights
-        integral = bool(np.allclose(vweights, np.round(vweights)))
-        lam = frame.total_vertex_weight / p
-        w_max = float(vweights.max()) if frame.num_vertices else 1.0
-        if integral:
-            balanced_max = float(np.ceil(lam - 1e-9)) + max(w_max - 1.0, 0.0)
-        else:
-            balanced_max = lam * (1 + 1e-9) + w_max
-
-        exact_target = float(np.ceil(lam - 1e-9)) if integral else lam
-
-        def excess_of(loads_vec: np.ndarray) -> float:
-            return float(np.maximum(loads_vec - exact_target, 0.0).sum())
-
-        def loads_of(vec: np.ndarray) -> np.ndarray:
-            vec = validate_partition_vector(frame, vec, p)
-            return np.bincount(vec, weights=vweights, minlength=p)
-
-        for _ in range(cfg.max_stages):
-            loads = loads_of(part)
-            max_load = float(loads.max())
-            if max_load <= balanced_max + 1e-9:
-                break  # already balanced
-
-            with tracer.span("lp.layer") as sp:
-                layering = layer_partitions_frame(frame, part, p, loads=loads)
-            timings["layering"] += sp.duration_s
-
-            with tracer.span("lp.balance") as sp:
-                stage = self._solve_stage(layering.delta, loads)
-                if stage is not None:
-                    sp.set("pivots", int(stage[0].result.iterations))
-            timings["lp"] += sp.duration_s
-            if stage is None:
-                raise RepartitionInfeasibleError(
-                    "balance LP infeasible and the relaxation cannot move "
-                    "anything; repartition from scratch or insert vertices "
-                    "in chunks (paper §2.3)",
-                    gamma_tried=cfg.gamma_cap,
-                )
-            solution, gamma = stage
-
-            with tracer.span("lp.move") as sp:
-                movers = select_movers(frame, part, layering, solution.moves)
-                part = apply_moves(part, movers)
-                if movers:
-                    frame.note_moves(np.concatenate(list(movers.values())))
-            timings["move"] += sp.duration_s
-
-            new_loads = loads_of(part)
-            if not np.isfinite(gamma):
-                gamma = float(new_loads.max()) / lam  # relaxed stage
-                if gamma > cfg.gamma_cap + 1e-9:
-                    raise RepartitionInfeasibleError(
-                        f"imbalance after relaxed stage ({gamma:.2f}) "
-                        f"exceeds the cap C={cfg.gamma_cap} (paper §2.3)",
-                        gamma_tried=gamma,
-                    )
-            if excess_of(new_loads) >= excess_of(loads) - 1e-9:
-                raise RepartitionInfeasibleError(
-                    "balance stage made no progress (movers could not "
-                    "realise the LP flow — indivisible vertex weights?)",
-                    gamma_tried=gamma,
-                )
-            result.stages.append(
-                StageRecord(
-                    gamma=gamma,
-                    total_moved=solution.total_movement,
-                    lp_variables=solution.balance_lp.num_variables,
-                    lp_constraints=solution.balance_lp.num_constraints,
-                    lp_iterations=solution.result.iterations,
-                    max_load_before=max_load,
-                    max_load_after=float(new_loads.max()),
-                )
-            )
-        else:
-            loads = loads_of(part)
-            if float(loads.max()) > balanced_max + 1e-9:
-                raise RepartitionInfeasibleError(
-                    f"balance not reached within {cfg.max_stages} stages",
-                    gamma_tried=cfg.gamma_cap,
-                )
-
-        if cfg.refine:
-            with tracer.span("lp.refine") as sp:
-                part, refine_stats = refine_partition_frame(
-                    frame,
-                    part,
-                    p,
-                    max_rounds=cfg.refine_max_rounds,
-                    strict_after=cfg.refine_strict_after,
-                    min_gain=cfg.refine_min_gain,
-                    lp_backend=cfg.lp_backend,
-                    carrier=self._refine_carrier,
-                )
-                sp.set("pivots", int(refine_stats.lp_iterations))
-                sp.set("rounds", int(refine_stats.rounds))
-            timings["refine"] = sp.duration_s
-            result.refine_stats = refine_stats
-
-        result.part = part
-        result.quality_final = evaluate_partition_frame(frame, part, p)
         return result
 
     # ------------------------------------------------------------------

@@ -12,12 +12,17 @@ The tables in Figures 11 and 14 report, per partitioner:
 Load metrics implement eq. (1): ``W(q)`` is the vertex-weight sum of
 partition ``q``; imbalance is ``max W / mean W``.
 
-Every metric also accepts a :class:`~repro.graph.sharded.ShardedCSRGraph`
-(duck-typed on ``iter_shards``): cut metrics then stream one shard block
-at a time instead of materialising global arc arrays, so evaluating a
-partition never needs more than one resident shard of edge data — the
-vertex-indexed vectors (``part``, ``vweights``) are O(|V|) and assumed to
-fit, as in semi-external graph processing.
+Every metric reads the graph through the graph-view surface
+(``rows(ensure_boundary(part))``), so it accepts a
+:class:`~repro.graph.csr.CSRGraph` or a
+:class:`~repro.graph.frame.BoundaryFrame` — the latter pages only the
+shards that own boundary rows.  A bare
+:class:`~repro.graph.sharded.ShardedCSRGraph` handle (duck-typed on
+``iter_shards``) is also accepted: cut metrics then stream one shard
+block at a time instead of materialising global arc arrays, so
+evaluating a partition never needs more than one resident shard of edge
+data — the vertex-indexed vectors (``part``, ``vweights``) are O(|V|)
+and assumed to fit, as in semi-external graph processing.
 """
 
 from __future__ import annotations
@@ -34,11 +39,8 @@ __all__ = [
     "partition_weights",
     "partition_sizes",
     "edge_cut",
-    "edge_cut_frame",
     "cut_metrics",
-    "cut_metrics_frame",
     "evaluate_partition",
-    "evaluate_partition_frame",
     "validate_partition_vector",
 ]
 
@@ -75,6 +77,19 @@ def partition_sizes(graph: CSRGraph, part: np.ndarray, num_partitions: int) -> n
     return np.bincount(part, minlength=num_partitions)
 
 
+def _cross_arcs(graph, part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sources and weights of the cross arcs of ``part``, read through
+    the graph view's boundary-superset rows.
+
+    Every cross arc's source is a boundary vertex, so these are exactly
+    the graph's cross arcs, in global CSR order: sums and bincounts over
+    them accumulate in the same order on every view.
+    """
+    src, dst, ew = graph.rows(graph.ensure_boundary(part))
+    cross = part[src] != part[dst]
+    return src[cross], ew[cross]
+
+
 def edge_cut(graph: CSRGraph, part: np.ndarray) -> float:
     """Total weight of cross edges, each counted once (``Cutset Total``)."""
     part = np.asarray(part, dtype=np.int64)
@@ -86,9 +101,8 @@ def edge_cut(graph: CSRGraph, part: np.ndarray) -> float:
             cross = part[src] != part[dst]
             total += float(block.eweights[cross].sum())
         return total / 2.0
-    src = graph.arc_sources()
-    cross = part[src] != part[graph.adj]
-    return float(graph.eweights[cross].sum() / 2.0)
+    _, cross_ew = _cross_arcs(graph, part)
+    return float(cross_ew.sum() / 2.0)
 
 
 def cut_metrics(
@@ -108,72 +122,11 @@ def cut_metrics(
                 minlength=num_partitions,
             )
         return float(per_part.sum() / 2.0), per_part
-    src = graph.arc_sources()
-    cross = part[src] != part[graph.adj]
-    per_part = np.bincount(
-        part[src[cross]], weights=graph.eweights[cross], minlength=num_partitions
-    )
-    return float(per_part.sum() / 2.0), per_part
-
-
-def _frame_cross_arcs(frame, part: np.ndarray):
-    """Cross arcs of ``part`` read through a boundary frame.
-
-    Every cross arc's source is a boundary vertex, and the frame's
-    boundary set is a superset of the boundary — so filtering the
-    boundary rows to cross arcs yields exactly the monolith's cross-arc
-    subsequence, in global CSR order.  Sums and bincounts over these
-    arrays are therefore bit-identical to the monolithic expressions.
-    """
-    src, dst, ew = frame.rows(frame.ensure_boundary(part))
-    cross = part[src] != part[dst]
-    return src[cross], ew[cross]
-
-
-def edge_cut_frame(frame, part: np.ndarray) -> float:
-    """:func:`edge_cut` read through a
-    :class:`~repro.graph.frame.BoundaryFrame` — no interior shard is
-    paged; bit-identical to the monolithic result."""
-    part = np.asarray(part, dtype=np.int64)
-    _, cross_ew = _frame_cross_arcs(frame, part)
-    return float(cross_ew.sum() / 2.0)
-
-
-def cut_metrics_frame(
-    frame, part: np.ndarray, num_partitions: int
-) -> tuple[float, np.ndarray]:
-    """:func:`cut_metrics` through a boundary frame (monolith-exact)."""
-    part = validate_partition_vector(frame, part, num_partitions)
-    cross_src, cross_ew = _frame_cross_arcs(frame, part)
+    cross_src, cross_ew = _cross_arcs(graph, part)
     per_part = np.bincount(
         part[cross_src], weights=cross_ew, minlength=num_partitions
     )
     return float(per_part.sum() / 2.0), per_part
-
-
-def evaluate_partition_frame(
-    frame, part: np.ndarray, num_partitions: int
-) -> "PartitionQuality":
-    """:func:`evaluate_partition` through a boundary frame.
-
-    The weight vector comes from the frame's incrementally-maintained
-    ``vweights`` (current-id order — the same array ``to_csr()`` would
-    assemble), so the whole bundle matches the monolithic evaluation
-    bit for bit while paging only boundary-owning shards.
-    """
-    total, per_part = cut_metrics_frame(frame, part, num_partitions)
-    part = np.asarray(part, dtype=np.int64)
-    w = np.bincount(part, weights=frame.vweights, minlength=num_partitions)
-    mean = w.sum() / num_partitions if num_partitions else 0.0
-    return PartitionQuality(
-        num_partitions=num_partitions,
-        cut_total=total,
-        cut_max=float(per_part.max()) if num_partitions else 0.0,
-        cut_min=float(per_part.min()) if num_partitions else 0.0,
-        cut_per_partition=per_part,
-        weights=w,
-        imbalance=float(w.max() / mean) if mean > 0 else np.inf,
-    )
 
 
 @dataclass(frozen=True)

@@ -83,16 +83,12 @@ def refinement_pools(
     For every vertex with cross edges: ``in(v)`` is the weight of edges to
     its own partition, ``out(v, j)`` the weight to partition ``j``.  A
     vertex joins the pool of its best foreign partition when
-    ``out − in ≥ 0`` (or ``> 0`` in strict mode).
+    ``out − in ≥ 0`` (or ``> 0`` in strict mode).  ``graph`` is a graph
+    view; only its boundary superset's rows are read.
     """
+    src, dst, ew = graph.rows(graph.ensure_boundary(part))
     return refinement_pools_from_arcs(
-        graph.arc_sources(),
-        graph.adj,
-        graph.eweights,
-        graph.num_vertices,
-        part,
-        num_partitions,
-        strict,
+        src, dst, ew, graph.num_vertices, part, num_partitions, strict
     )
 
 
@@ -107,12 +103,11 @@ def refinement_pools_from_arcs(
 ) -> RefinementPass:
     """:func:`refinement_pools` over explicit arc arrays.
 
-    The shard-native path (:func:`repro.core.shardlp
-    .refine_partition_frame`) calls this with the *boundary rows* of a
-    :class:`~repro.graph.frame.BoundaryFrame` — a global-CSR-order
-    subsequence that contains every cross arc, so ``in_w`` is complete
-    for every vertex that can appear in a pool and all sums accumulate
-    in the monolithic order.
+    The arcs may be any global-CSR-order subsequence of the graph's arc
+    arrays that contains every arc out of a boundary vertex — such as
+    the rows of a graph view's boundary superset.  ``in_w`` is then
+    complete for every vertex that can appear in a pool, and all sums
+    accumulate in the same order as over the full arc arrays.
     """
     p = num_partitions
     part = np.asarray(part, dtype=np.int64)
@@ -195,6 +190,10 @@ def refine_partition(
     a round falls below ``min_gain``, when the LP moves nothing, or when
     a round would worsen the cut (that round is rolled back).
 
+    ``graph`` is a graph view: pools read the rows of its boundary
+    superset, and each round's movers are reported through
+    ``note_moves`` before the candidate cut is evaluated.
+
     ``carrier`` threads a warm-start basis between rounds (and across
     calls, if the caller keeps it): every round's circulation LP shares
     its row structure (one flow-conservation row per partition), so the
@@ -205,14 +204,10 @@ def refine_partition(
     stats = RefineStats(cut_before=edge_cut(graph, part))
     current_cut = stats.cut_before
     forced_strict = False
-    src = graph.arc_sources()  # one per call, not one per round
 
     for round_idx in range(max_rounds):
         strict = forced_strict or round_idx >= strict_after
-        pass_ = refinement_pools_from_arcs(
-            src, graph.adj, graph.eweights, graph.num_vertices,
-            part, num_partitions, strict,
-        )
+        pass_ = refinement_pools(graph, part, num_partitions, strict)
         if pass_.lp is None:
             break
         result: LPResult = solve_with_backend(
@@ -227,7 +222,7 @@ def refine_partition(
         # Realise the circulation: flows are integral (TU matrix), pools
         # are disjoint, so exact counts always exist.
         candidate = part.copy()
-        moved = 0
+        moved_ids: list[np.ndarray] = []
         x = np.clip(np.round(np.asarray(result.x)), 0, None)
         for k, (i, j) in enumerate(pass_.pairs):
             count = int(x[k])
@@ -235,9 +230,12 @@ def refine_partition(
                 continue
             movers = pass_.pools[(i, j)][:count]
             candidate[movers] = j
-            moved += len(movers)
-        if moved == 0:
+            moved_ids.append(movers)
+        if not moved_ids:
             break
+        moved = np.concatenate(moved_ids)
+        # Movers and their neighbours may have become boundary vertices.
+        graph.note_moves(moved)
         new_cut = edge_cut(graph, candidate)
         if new_cut > current_cut + 1e-9:
             # Batch interactions made the snapshot gains lie.  Zero-gain
@@ -251,7 +249,7 @@ def refine_partition(
         stats.reverted_last_round = False
         part = candidate
         stats.rounds += 1
-        stats.vertices_moved += moved
+        stats.vertices_moved += len(moved)
         gain = current_cut - new_cut
         current_cut = new_cut
         if gain < min_gain and strict:

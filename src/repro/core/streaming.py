@@ -196,8 +196,10 @@ class StreamingPartitioner:
         graph each flush routes the composed delta through
         :meth:`~repro.graph.sharded.ShardedCSRGraph.apply_delta` (only
         touched shards are rewritten) and the LP pipeline reads the graph
-        through a persistent :class:`~repro.graph.frame.BoundaryFrame`
-        (see ``shard_native``).  Superseded shard revisions are
+        through a persistent :class:`~repro.graph.frame.BoundaryFrame`:
+        untouched shards are never paged from the store, and labels and
+        pivots are bit-identical to the monolithic path.  Superseded
+        shard revisions are
         garbage-collected at each flush, except revisions pinned via
         :attr:`pinned_revs` because an on-disk snapshot manifest still
         references them (``PartitionSession`` pins on save/load), so an
@@ -216,15 +218,6 @@ class StreamingPartitioner:
     chunk_fraction:
         chunk size for the §2.3 fallback (see
         :func:`chunked_insertion_repartition`).
-    shard_native:
-        sharded graphs only (ignored for monolithic ones).  ``True`` (the
-        default) runs each flush's LP pipeline through
-        :meth:`IncrementalGraphPartitioner.repartition_frame` on a
-        persistent :class:`~repro.graph.frame.BoundaryFrame`: untouched
-        shards are never paged from the store, and labels/pivots are
-        bit-identical to the monolithic path.  ``False`` restores the
-        old debug behaviour of assembling a transient monolith with
-        ``to_csr()`` every flush.
     max_history:
         keep at most this many :class:`BatchRecord` entries (oldest dropped
         first); ``None`` (default) keeps everything.  Long-lived sessions
@@ -245,7 +238,6 @@ class StreamingPartitioner:
         accumulate_weights: bool = False,
         chunk_fraction: float = 0.5,
         max_history: int | None = None,
-        shard_native: bool = True,
         **kwargs,
     ):
         if max_history is not None and max_history < 1:
@@ -265,7 +257,6 @@ class StreamingPartitioner:
         self.accumulate_weights = accumulate_weights
         self.chunk_fraction = chunk_fraction
         self.max_history = max_history
-        self.shard_native = shard_native
         #: Sharded graphs only: the persistent BoundaryFrame carried
         #: across flushes — its block cache keeps untouched shards
         #: resident and its boundary superset makes each flush's LP
@@ -275,7 +266,7 @@ class StreamingPartitioner:
         #: whenever the frame's incremental state can no longer be
         #: trusted (chunked fallback, rolled-back flush).
         self._frame = None
-        if shard_native and hasattr(graph, "boundary_frame"):
+        if hasattr(graph, "boundary_frame"):
             self._frame = graph.boundary_frame()
         self.graph = graph
         self.part = part
@@ -487,55 +478,35 @@ class StreamingPartitioner:
             try:
                 carried = carry_partition(self.part, inc)
                 with tracer.span("flush.repartition") as rsp:
-                    if sharded and self.shard_native:
-                        frame = self._advance_frame(inc, composed)
-                        hits0 = frame.block_hits
-                        fetches0 = frame.block_fetches
-                        try:
-                            result = self._igp.repartition_frame(frame, carried)
-                        except RepartitionInfeasibleError:
-                            fallback = True
-                            # The §2.3 chunked driver re-inserts vertices
-                            # from scratch — a whole-graph solve, so the
-                            # one-shot monolithic assembly is the honest
-                            # cost here, and the frame's incremental
-                            # state dies with the failed trajectory.
-                            self._drop_frame()
-                            dense = inc.graph.to_csr()  # repro: ignore[RPR801] - chunked fallback is a from-scratch whole-graph solve
-                            result = chunked_insertion_repartition(
-                                dense,
-                                carried,
-                                self.config,
-                                chunk_fraction=self.chunk_fraction,
-                            )
-                            # The chunked driver ran its own partitioner;
-                            # carried bases describe a trajectory that no
-                            # longer exists.
-                            self._igp.reset_warm_start()
-                        else:
-                            fsp.set("frame_hits", frame.block_hits - hits0)
-                            fsp.set(
-                                "frame_fetches",
-                                frame.block_fetches - fetches0,
-                            )
+                    frame = self._advance_frame(inc, composed) if sharded else None
+                    view = inc.graph if frame is None else frame
+                    if frame is not None:
+                        hits0, fetches0 = frame.block_hits, frame.block_fetches
+                    try:
+                        result = self._igp.repartition(view, carried)
+                    except RepartitionInfeasibleError:
+                        fallback = True
+                        # The §2.3 chunked driver re-inserts vertices from
+                        # scratch — a whole-graph solve, so the one-shot
+                        # monolithic assembly is the honest cost here, and
+                        # the frame's incremental state dies with the
+                        # failed trajectory.
+                        self._drop_frame()
+                        dense = inc.graph.to_csr() if sharded else inc.graph  # repro: ignore[RPR801] - chunked fallback is a from-scratch whole-graph solve
+                        result = chunked_insertion_repartition(
+                            dense,
+                            carried,
+                            self.config,
+                            chunk_fraction=self.chunk_fraction,
+                        )
+                        # The chunked driver ran its own partitioner;
+                        # carried bases describe a trajectory that no
+                        # longer exists.
+                        self._igp.reset_warm_start()
                     else:
-                        # Monolithic graph, or the shard_native=False escape
-                        # hatch (debug-only transient assembly).
-                        dense = inc.graph.to_csr() if sharded else inc.graph  # repro: ignore[RPR801] - shard_native=False debug opt-out
-                        try:
-                            result = self._igp.repartition(dense, carried)
-                        except RepartitionInfeasibleError:
-                            fallback = True
-                            result = chunked_insertion_repartition(
-                                dense,
-                                carried,
-                                self.config,
-                                chunk_fraction=self.chunk_fraction,
-                            )
-                            # The chunked driver ran its own partitioner;
-                            # carried bases describe a trajectory that no
-                            # longer exists.
-                            self._igp.reset_warm_start()
+                        if frame is not None:
+                            fsp.set("frame_hits", frame.block_hits - hits0)
+                            fsp.set("frame_fetches", frame.block_fetches - fetches0)
                 self._repartition_wall_s += rsp.duration_s
             except BaseException:
                 if sharded:
@@ -584,7 +555,7 @@ class StreamingPartitioner:
 
     def _current_frame(self):
         """The frame for the *current* graph, creating one if needed
-        (sharded shard-native engines only — callers check)."""
+        (sharded graphs only — callers check)."""
         if self._frame is None or self._frame.graph is not self.graph:
             self._drop_frame()
             self._frame = self.graph.boundary_frame()
@@ -598,16 +569,17 @@ class StreamingPartitioner:
             self._frame = None
 
     @property
-    def quality_frame(self):
-        """The live :class:`~repro.graph.frame.BoundaryFrame` for the
-        current graph/partition epoch, or ``None`` when there isn't one
-        (monolithic graph, ``shard_native=False``, cold/invalidated
-        frame).  Sessions use it to evaluate quality boundary-only
-        instead of assembling a monolith."""
+    def quality_view(self):
+        """The graph view quality metrics read for the current epoch:
+        the live :class:`~repro.graph.frame.BoundaryFrame` when there is
+        one (boundary rows only, no shard paging), else :attr:`graph`
+        itself — a :class:`~repro.graph.csr.CSRGraph`, or a sharded
+        handle whose frame is cold or was invalidated, which the metrics
+        stream shard by shard."""
         frame = self._frame
         if frame is not None and frame.graph is self.graph:
             return frame
-        return None
+        return self.graph
 
     def repartition(self, trigger: str = "repartition") -> RepartitionResult:
         """Repartition *now*: flush the pending batch, or — when nothing
@@ -624,13 +596,8 @@ class StreamingPartitioner:
         sharded = hasattr(self.graph, "iter_shards")
         with tracer.span("flush", {"num_deltas": 0, "trigger": trigger}) as fsp:
             with tracer.span("flush.repartition") as rsp:
-                if sharded and self.shard_native:
-                    result = self._igp.repartition_frame(
-                        self._current_frame(), self.part
-                    )
-                else:
-                    dense = self.graph.to_csr() if sharded else self.graph  # repro: ignore[RPR801] - shard_native=False debug opt-out
-                    result = self._igp.repartition(dense, self.part)
+                view = self._current_frame() if sharded else self.graph
+                result = self._igp.repartition(view, self.part)
             self._repartition_wall_s += rsp.duration_s
             fsp.set("pivots", int(sum(s.lp_iterations for s in result.stages)))
             fsp.set("stages", result.num_stages)
@@ -737,11 +704,11 @@ class StreamingPartitioner:
 
     def repartition_wall_s(self) -> float:
         """Wall-clock spent in LP *assembly + solve* across all batches:
-        the frame advance (or ``to_csr()`` on the debug opt-out path)
-        plus the repartition pipeline, excluding delta composition and
-        shard-store writes.  This is the window the shard-native bench
-        gate compares against the monolithic run — a monolithic assembly
-        sneaking back onto the flush path shows up here first."""
+        the frame advance plus the repartition pipeline, excluding delta
+        composition and shard-store writes.  This is the window the
+        shard-native bench gate compares against the monolithic run — a
+        monolithic assembly sneaking back onto the flush path shows up
+        here first."""
         return self._repartition_wall_s
 
     def describe(self) -> str:

@@ -206,6 +206,33 @@ class CSRGraph:
         """Source vertex of each stored arc (length ``2 m``)."""
         return np.repeat(np.arange(self.num_vertices, dtype=np.int64), np.diff(self.xadj))
 
+    # ------------------------------------------------------------------
+    # Graph-view surface: what the repartition phases read.  The sharded
+    # implementation is repro.graph.frame.BoundaryFrame; on a monolith
+    # the boundary "superset" is simply every vertex.
+    # ------------------------------------------------------------------
+    def rows(
+        self, vertices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Adjacency rows of ``vertices`` (sorted unique ids) as flat arc
+        arrays ``(src, dst, ew)``, in CSR order.  All ``n`` vertices
+        return ``(arc_sources(), adj, eweights)`` without a copy."""
+        verts = np.asarray(vertices, dtype=np.int64)
+        if len(verts) == self.num_vertices:
+            return self.arc_sources(), self.adj, self.eweights
+        idx, counts = _row_gather(self.xadj, verts)
+        return np.repeat(verts, counts), self.adj[idx], self.eweights[idx]
+
+    def ensure_boundary(self, part: np.ndarray) -> np.ndarray:
+        """Every vertex: a superset of the boundary under any ``part``."""
+        return np.arange(self.num_vertices, dtype=np.int64)
+
+    def set_boundary(self, vertices: np.ndarray) -> None:
+        """No-op: a monolith keeps no boundary state."""
+
+    def note_moves(self, moved: np.ndarray) -> None:
+        """No-op: a monolith keeps no boundary state."""
+
     def to_adjacency_dict(self) -> dict[int, list[int]]:
         """Export as ``{u: sorted neighbour list}`` (for tests / debugging)."""
         return {
@@ -408,3 +435,18 @@ class CSRGraph:
         return from_edge_list(
             n, edges, eweights=eweights, vweights=vweights, coords=coords
         )
+
+
+def _row_gather(xadj: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices selecting the adjacency rows of ``vertices``; also
+    returns the per-vertex row lengths."""
+    starts = xadj[vertices]
+    counts = xadj[vertices + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64), counts
+    idx = np.repeat(starts, counts) + (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(np.cumsum(counts) - counts, counts)
+    )
+    return idx, counts

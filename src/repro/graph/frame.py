@@ -1,4 +1,4 @@
-"""Boundary frames: shard-native assembly state for the LP pipeline.
+"""Boundary frames: the sharded graph view the LP pipeline reads.
 
 The paper's balance and refinement LPs never constrain interior
 vertices: layering starts at the partition boundary (§2.2), the balance
@@ -24,14 +24,36 @@ read, kept warm across flushes:
   is maintained by remapping + unioning, and tightened back to the
   exact boundary whenever a caller computes level 0 of the layering.
 
-The id-mapping contract that makes frame-native phases *bit-identical*
-to running on :meth:`~repro.graph.sharded.ShardedCSRGraph.to_csr`:
-current order equals increasing birth order, and every shard block's
-rows are sorted by birth-id target — so :meth:`BoundaryFrame.rows`
-returns, for any sorted vertex set, exactly the subsequence of the
-assembled monolith's global arc array (same arcs, same order).  Any
-``np.bincount``/``np.sum`` over those arrays therefore accumulates in
-the same order as the monolithic code path.
+A frame implements the **graph-view surface** every repartition phase
+reads (``num_vertices``, ``vweights``, ``total_vertex_weight``,
+``rows``, ``ensure_boundary``, ``set_boundary``, ``note_moves``);
+:class:`~repro.graph.csr.CSRGraph` implements the same surface for a
+monolith.  There is one pipeline and one set of phase functions.
+
+**The bit-parity contract.**  Running the pipeline on a frame gives
+byte-identical labels, pivots, stage records and quality bundles to
+running it on :meth:`~repro.graph.sharded.ShardedCSRGraph.to_csr`:
+
+* current order equals increasing birth order, and every shard block's
+  rows are sorted by birth-id target — so :meth:`BoundaryFrame.rows`
+  returns, for any sorted vertex set, exactly the subsequence of the
+  assembled monolith's global arc arrays (same arcs, same order), which
+  is also what :meth:`CSRGraph.rows <repro.graph.csr.CSRGraph.rows>`
+  returns.  Filtering it by the same predicates feeds every
+  ``np.unique``/``np.bincount``/``np.lexsort`` and every sum the same
+  inputs in the same order;
+* the boundary superset contains every source of a cross arc, so the
+  cross arcs of its rows are exactly the graph's cross arcs (layering
+  level 0, refinement pools, cut metrics);
+* BFS waves only expand out of rows already gathered: assignment
+  propagates through the *new* vertices' rows, layering out of the
+  previous level's winners;
+* weight sums use the frame's current-id ``vweights`` vector — the
+  array ``to_csr()`` would assemble — never the sharded handle's
+  per-shard partial sums, whose float accumulation order differs.
+
+The LP solves then see the same δ, loads and pools with the same
+warm-start carriers, so their pivot counts match too.
 """
 
 from __future__ import annotations
@@ -42,7 +64,8 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.operations import boundary_vertices
-from repro.graph.sharded import ShardBlock, _ramp, _row_gather, shard_key
+from repro.graph.csr import _row_gather
+from repro.graph.sharded import ShardBlock, _ramp, shard_key
 
 __all__ = ["BoundaryFrame"]
 
@@ -102,7 +125,7 @@ class BoundaryFrame:
         self._rows_memo: tuple | None = None
 
     # ------------------------------------------------------------------
-    # CSRGraph-compatible surface (what the LP phases read)
+    # Graph-view surface (what the LP phases read)
     # ------------------------------------------------------------------
     @property
     def graph(self):

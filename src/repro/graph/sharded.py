@@ -55,7 +55,7 @@ from repro.errors import (
     GraphValidationError,
     ValidationError,
 )
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _row_gather
 from repro.graph.incremental import GraphDelta
 from repro.obs import get_tracer
 
@@ -376,21 +376,6 @@ class ShardedIncrementalResult:
     new_vertex_shards: np.ndarray = field(
         default_factory=lambda: np.zeros(0, np.int64)
     )
-
-
-def _row_gather(xadj: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices selecting the adjacency rows of ``vertices``; also
-    returns the per-vertex row lengths."""
-    starts = xadj[vertices]
-    counts = xadj[vertices + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64), counts
-    idx = np.repeat(starts, counts) + (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(np.cumsum(counts) - counts, counts)
-    )
-    return idx, counts
 
 
 def _ramp(counts: np.ndarray) -> np.ndarray:
@@ -761,10 +746,9 @@ class ShardedCSRGraph:
     # ------------------------------------------------------------------
     def boundary_frame(self, *, max_cached_blocks: int | None = None):
         """A fresh :class:`~repro.graph.frame.BoundaryFrame` on this
-        handle — the shard-native assembly state the LP pipeline
-        consumes instead of :meth:`to_csr` (see
-        :meth:`~repro.core.partitioner.IncrementalGraphPartitioner
-        .repartition_frame`)."""
+        handle — the graph view the LP pipeline reads instead of
+        :meth:`to_csr` (see :meth:`~repro.core.partitioner
+        .IncrementalGraphPartitioner.repartition`)."""
         from repro.graph.frame import BoundaryFrame
 
         return BoundaryFrame(self, max_cached_blocks=max_cached_blocks)

@@ -57,7 +57,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.streaming import FlushPolicy
-from repro.errors import ServiceError, SnapshotError
+from repro.errors import ServiceError, SnapshotError, UnknownBackendError
 from repro.graph.incremental import GraphDelta
 from repro.graph.sharded import ShardedCSRGraph
 from repro.obs import get_tracer
@@ -210,9 +210,9 @@ def _build_session(spec: dict) -> PartitionSession:
             accumulate_weights=spec["accumulate_weights"],
             **spec["config"],
         )
-    except TypeError as exc:
+    except (TypeError, UnknownBackendError) as exc:
         raise ServiceError(
-            f"invalid session config: {exc}", code="bad-request"
+            f"invalid session config: {exc.args[0]}", code="bad-request"
         ) from None
 
 

@@ -59,11 +59,7 @@ import numpy as np
 
 from repro._version import __version__
 from repro.core.partitioner import IGPConfig, RepartitionResult
-from repro.core.quality import (
-    PartitionQuality,
-    evaluate_partition,
-    evaluate_partition_frame,
-)
+from repro.core.quality import PartitionQuality, evaluate_partition
 from repro.core.streaming import BatchRecord, FlushPolicy, StreamingPartitioner
 from repro.errors import (
     APIUsageError,
@@ -365,23 +361,16 @@ class PartitionSession:
         """Cut/balance metrics of the current partition.
 
         Memoized between mutations (any :meth:`push` / :meth:`flush` /
-        :meth:`repartition` invalidates the cache).  When the engine is
-        carrying a live :class:`~repro.graph.frame.BoundaryFrame` for
-        the current epoch (shard-native sessions after their first
-        flush), the metrics are computed through it — boundary rows
-        only, no shard paging, bit-identical values; otherwise the
-        metrics stream the graph directly.
+        :meth:`repartition` invalidates the cache).  The metrics read the
+        engine's :attr:`~repro.core.streaming.StreamingPartitioner
+        .quality_view`: for a sharded session with a live
+        :class:`~repro.graph.frame.BoundaryFrame` that is boundary rows
+        only, with no shard paging and bit-identical values.
         """
         if self._quality_cache is None:
-            frame = self._sp.quality_frame
-            if frame is not None:
-                self._quality_cache = evaluate_partition_frame(
-                    frame, self.part, self.k
-                )
-            else:
-                self._quality_cache = evaluate_partition(
-                    self.graph, self.part, self.k
-                )
+            self._quality_cache = evaluate_partition(
+                self._sp.quality_view, self.part, self.k
+            )
         return self._quality_cache
 
     def history(self) -> list[BatchSummary]:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import IGPConfig, IncrementalGraphPartitioner
 from repro.core.quality import edge_cut, partition_sizes
-from repro.errors import RepartitionInfeasibleError
+from repro.errors import RepartitionInfeasibleError, UnknownBackendError
 from repro.graph import grid_graph, random_geometric_graph
 from repro.graph.incremental import GraphDelta, apply_delta, carry_partition
 
@@ -27,6 +27,17 @@ class TestConfig:
     def test_invalid_partition_count(self):
         with pytest.raises(ValueError):
             IGPConfig(num_partitions=0)
+
+    def test_unknown_lp_backend_rejected_at_construction(self):
+        with pytest.raises(UnknownBackendError, match="nope"):
+            IGPConfig(lp_backend="nope")
+        with pytest.raises(UnknownBackendError):
+            IncrementalGraphPartitioner(num_partitions=4, lp_backend="nope")
+
+    def test_legacy_backend_alias_still_accepted(self):
+        # Snapshot manifests store asdict(config); old ones may name the
+        # legacy alias of the tableau backend.
+        assert IGPConfig(lp_backend="dense_simplex").lp_backend == "dense_simplex"
 
 
 class TestRepartition:

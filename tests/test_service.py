@@ -113,6 +113,16 @@ class TestSessionManager:
             mgr.create("x", churn_spec(config={"no_such_option": 1}))
         assert ei.value.code == "bad-request"
 
+    def test_unknown_lp_backend_is_bad_request_and_not_persisted(self, tmp_path):
+        mgr = SessionManager(tmp_path, fsync=False)
+        with pytest.raises(ServiceError, match="unknown LP backend") as ei:
+            mgr.create("x", churn_spec(config={"lp_backend": "nope"}))
+        assert ei.value.code == "bad-request"
+        assert not (tmp_path / "x").exists()
+        assert "x" not in mgr.list_sessions()
+        # The name stays usable.
+        mgr.create("x", churn_spec())
+
     def test_crash_recovery_equals_uninterrupted(self, tmp_path):
         """Kill (drop without checkpoint) mid-stream; replay must match
         the uninterrupted run's labels AND per-batch pivot counts."""

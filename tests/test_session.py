@@ -4,7 +4,7 @@ Covers the initial-partitioner registry, facade semantics (push / flush /
 repartition / quality / history), the durable snapshot format (in-process
 and across a real subprocess boundary), rejection of corrupted and
 newer-version snapshots, the serialization primitives it leans on, and
-the top-level deprecation shims.
+the top-level namespace.
 """
 
 import json
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import IGPConfig, IncrementalGraphPartitioner, StreamingPartitioner
+from repro.core import IGPConfig, StreamingPartitioner
 from repro.core.streaming import FlushPolicy
 from repro.errors import GraphValidationError, PartitioningError, SnapshotError
 from repro.graph import CSRGraph, GraphDelta, grid_graph
@@ -512,26 +512,17 @@ class TestSnapshotRejection:
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims
+# Top-level namespace
 # ----------------------------------------------------------------------
 class TestDeprecationShims:
-    def test_streaming_partitioner_shim(self):
-        with pytest.warns(DeprecationWarning, match="open_session"):
-            cls = repro.StreamingPartitioner
-        assert cls is StreamingPartitioner
-
-    def test_incremental_partitioner_shim(self):
-        with pytest.warns(DeprecationWarning, match="open_session"):
-            cls = repro.IncrementalGraphPartitioner
-        assert cls is IncrementalGraphPartitioner
-
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             repro.does_not_exist
 
     def test_star_import_is_warning_free(self):
-        # The deprecated spellings are kept out of __all__ so that
-        # `from repro import *` never trips the shims.
+        # The engine classes live under repro.core only; the top level
+        # exports the session API, and `from repro import *` is
+        # warning-free.
         import warnings
 
         scope = {}

@@ -202,7 +202,7 @@ class TestSnapshotV2:
         # (which may have advanced onto the dead revisions) was dropped
         assert set(sharded.store.keys()) == keys_before
         assert sp.graph is sharded
-        assert sp.quality_frame is None
+        assert sp.quality_view is sp.graph
 
     def test_persistent_store_revisions_stay_bounded(self, churn, tmp_path):
         base, deltas = churn

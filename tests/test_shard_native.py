@@ -1,10 +1,10 @@
 """Shard-native LP assembly: frame parity, paging, and the RPR801 gate.
 
-The contract under test (PR 9's tentpole): routing a sharded graph's
-flushes through :class:`repro.graph.frame.BoundaryFrame` produces
-bit-identical labels and LP pivot trajectories to the monolithic
-pipeline, while never paging untouched shards from the store once the
-frame is warm.
+The contract under test: the one repartition pipeline, reading a
+sharded graph through :class:`repro.graph.frame.BoundaryFrame`, produces
+bit-identical labels and LP pivot trajectories to reading the monolithic
+:class:`~repro.graph.csr.CSRGraph` view, while never paging untouched
+shards from the store once the frame is warm.
 """
 
 from __future__ import annotations
@@ -74,28 +74,6 @@ class TestFrameParity:
             assert mq.cut_total == sq.cut_total
             assert mq.imbalance == sq.imbalance
 
-    def test_shard_native_off_matches_on(self):
-        base, deltas = make_stream("churn", scale=0.3, steps=5, seed=3)
-        part = rsb_partition(base, 4, seed=0)
-
-        def run(shard_native):
-            sp = StreamingPartitioner(
-                ShardedCSRGraph.from_csr(base, 5),
-                part,
-                num_partitions=4,
-                refine=True,
-                lp_backend="revised",
-                policy=FlushPolicy(max_pending=1),
-                strict=False,
-                shard_native=shard_native,
-            )
-            sp.extend(deltas)
-            return sp
-
-        native, debug = run(True), run(False)
-        assert np.array_equal(native.part, debug.part)
-        assert batch_pivots(native) == batch_pivots(debug)
-
     def test_empty_batch_repartition_uses_frame(self):
         base, _ = make_stream("churn", scale=0.2, steps=2, seed=1)
         sp = StreamingPartitioner(
@@ -105,7 +83,7 @@ class TestFrameParity:
             refine=True,
         )
         result = sp.repartition()
-        assert sp.quality_frame is not None
+        assert isinstance(sp.quality_view, BoundaryFrame)
         mono = StreamingPartitioner(
             base, rsb_partition(base, 4, seed=0), num_partitions=4, refine=True
         )
@@ -131,7 +109,7 @@ class TestUntouchedShardsStayCold:
     def test_localized_flush_loads_only_touched_blocks(self, tmp_path):
         base, store, sp = self._engine(tmp_path)
         sp.repartition()  # warm-up: attaches the frame (one full sweep)
-        assert sp.quality_frame is not None
+        assert isinstance(sp.quality_view, BoundaryFrame)
 
         counts_before = dict(store.load_counts)
         # A delta entirely inside shard 0 (contiguous split: vertices
@@ -177,7 +155,7 @@ class TestSessionQuality:
             strict=False,
         )
         session.extend(deltas)
-        assert session._sp.quality_frame is not None
+        assert isinstance(session._sp.quality_view, BoundaryFrame)
         q = session.quality()
         # bit-identical to the monolithic evaluation of the same state
         from repro.core.quality import evaluate_partition
