@@ -463,6 +463,8 @@ class StreamingPartitioner:
                         strict=self.strict,
                         accumulate_weights=self.accumulate_weights,
                     )
+                    asp.set("touched", len(inc.touched_shards))
+                    asp.set("arcs", inc.arcs_written)
                 else:
                     inc = apply_delta(
                         self.graph,

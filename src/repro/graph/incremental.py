@@ -61,6 +61,30 @@ def _lookup(
     return pos, found
 
 
+def _listed(rows: np.ndarray) -> str:
+    """The first five ``(u, v)`` rows, with ``...`` if there are more."""
+    head = [tuple(int(x) for x in row) for row in rows[:5]]
+    return f"{head}{'...' if len(rows) > 5 else ''}"
+
+
+def _missing_deletions_error(deleted_edges: np.ndarray, hit: np.ndarray) -> GraphError:
+    """The strict-mode error for the deleted edges that were not found."""
+    return GraphError(
+        f"deleted_edges entries do not exist in the graph: "
+        f"{_listed(deleted_edges[~hit])} "
+        f"(pass strict=False to skip missing deletions)"
+    )
+
+
+def _duplicates_error(added_edges: np.ndarray, clash: np.ndarray) -> GraphError:
+    """The error for added edges that repeat a surviving or earlier one."""
+    return GraphError(
+        f"added_edges duplicate existing or other added edges: "
+        f"{_listed(added_edges[clash])} (pass "
+        f"accumulate_weights=True to sum the weights instead)"
+    )
+
+
 @dataclass(frozen=True)
 class GraphDelta:
     """An incremental change to a graph.
@@ -288,13 +312,7 @@ def apply_delta(
         arc_keys = src * n64 + dst
         fwd, hit = _lookup(arc_keys, de[:, 0] * n64 + de[:, 1])
         if strict and not hit.all():
-            missing = de[~hit][:5]
-            raise GraphError(
-                f"deleted_edges entries do not exist in the graph: "
-                f"{[tuple(int(x) for x in row) for row in missing]}"
-                f"{'...' if (~hit).sum() > 5 else ''} "
-                f"(pass strict=False to skip missing deletions)"
-            )
+            raise _missing_deletions_error(de, hit)
         keep[fwd[hit]] = False
         keep[np.searchsorted(arc_keys, de[hit, 1] * n64 + de[hit, 0])] = False
     # old_to_new is monotone, so the renumbered arcs stay sorted.
@@ -328,13 +346,7 @@ def apply_delta(
             clash[first] = False
             clash |= on_old[inv]
             if clash.any():
-                offending = delta.added_edges[clash][:5]
-                raise GraphError(
-                    f"added_edges duplicate existing or other added edges: "
-                    f"{[tuple(int(x) for x in row) for row in offending]}"
-                    f"{'...' if clash.sum() > 5 else ''} (pass "
-                    f"accumulate_weights=True to sum the weights instead)"
-                )
+                raise _duplicates_error(delta.added_edges, clash)
         if np.any(lo == hi):
             raise GraphError("self-loops are not allowed")
         # Weight of each distinct added edge: the surviving old weight
@@ -422,11 +434,12 @@ class DeltaComposer:
     Encoded ids: ``0..n_old-1`` are base-graph vertices; ``n_old + j`` is
     the ``j``-th vertex ever added along the chain (cancelled additions
     keep their slot so encodings stay stable; :meth:`to_delta` compacts
-    them).  An addition-only :meth:`fold` costs time proportional to the
-    folded delta; a fold that deletes vertices additionally pays one
-    O(frame) renumbering pass.  Nothing re-walks the *accumulated* edge
-    state per fold, which is what lets the streaming layer ingest long
-    delta streams cheaply and only materialise the composed
+    them).  A :meth:`fold` does Python work in proportion to the folded
+    delta; a fold that adds or deletes vertices also copies the
+    frame-sized provenance array once (a vectorised mask-and-append, no
+    per-vertex Python), and a fold that deletes vertices filters the
+    accumulated added edges once.  That is what lets the streaming layer
+    ingest long delta streams cheaply and only materialise the composed
     :class:`GraphDelta` at flush.
 
     See :func:`compose_deltas` for the equivalence and cancellation
@@ -445,9 +458,8 @@ class DeltaComposer:
         self.accumulate_weights = accumulate_weights
         self.n_old = graph.num_vertices
         self.num_folded = 0
-        # Current-frame id -> encoded id; a plain list so addition-only
-        # folds extend in O(delta) instead of copying the whole frame.
-        self._prov: list[int] = list(range(self.n_old))
+        # Current-frame id -> encoded id.
+        self._prov = np.arange(self.n_old, dtype=np.int64)
         self._add_alive: list[bool] = []
         self._add_w: list[float] = []
         self._add_coords: list[np.ndarray | None] = []
@@ -502,15 +514,14 @@ class DeltaComposer:
             d.deleted_edges.min() < 0 or d.deleted_edges.max() >= n_cur
         ):
             raise GraphError("deleted edge endpoint out of range")
-        dv_set = {int(c) for c in d.deleted_vertices}
-        if dv_set and len(d.added_edges):
-            for c in d.added_edges.flat:
-                if c < n_cur and int(c) in dv_set:
-                    raise GraphError("added edge references a deleted vertex")
+        if len(d.added_edges) and _lookup(
+            d.deleted_vertices, d.added_edges.ravel()
+        )[1].any():
+            raise GraphError("added edge references a deleted vertex")
 
         def encode(c: int) -> int:
             if c < n_cur:
-                return prov[c]
+                return int(prov[c])
             return n_old + base_j + (c - n_cur)
 
         # --- edge deletions (against the pre-delta edge state) ----------
@@ -543,8 +554,7 @@ class DeltaComposer:
 
         # --- vertex deletions -------------------------------------------
         doomed: set[int] = set()
-        for c in dv_set:
-            enc = prov[c]
+        for enc in prov[d.deleted_vertices].tolist():
             doomed.add(enc)
             if enc < n_old:
                 if enc not in self._deleted_old:
@@ -598,13 +608,20 @@ class DeltaComposer:
                 self._added_edges[k] = float(w)
 
         # --- renumber into the next frame -------------------------------
-        # Addition-only folds append in O(delta); only deltas that delete
-        # vertices pay an O(frame) compaction.
-        if dv_set:
-            self._prov = [p for i, p in enumerate(prov) if i not in dv_set]
-        self._prov.extend(
-            range(n_old + base_j, n_old + base_j + d.num_added_vertices)
-        )
+        # One mask drops the deleted vertices; the additions append.
+        if len(d.deleted_vertices) or d.num_added_vertices:
+            survive = np.ones(n_cur, dtype=bool)
+            survive[d.deleted_vertices] = False
+            self._prov = np.concatenate(
+                [
+                    prov[survive],
+                    np.arange(
+                        n_old + base_j,
+                        n_old + base_j + d.num_added_vertices,
+                        dtype=np.int64,
+                    ),
+                ]
+            )
         self.num_folded += 1
         return self
 

@@ -56,7 +56,12 @@ from repro.errors import (
     ValidationError,
 )
 from repro.graph.csr import CSRGraph, _row_gather
-from repro.graph.incremental import GraphDelta
+from repro.graph.incremental import (
+    GraphDelta,
+    _duplicates_error,
+    _lookup,
+    _missing_deletions_error,
+)
 from repro.obs import get_tracer
 
 __all__ = [
@@ -364,8 +369,9 @@ class ShardedIncrementalResult:
     :class:`~repro.graph.incremental.IncrementalResult` (``graph`` /
     ``old_to_new`` / ``new_vertex_ids`` / ``is_new``), so
     :func:`~repro.graph.incremental.carry_partition` accepts it
-    unchanged; additionally reports which shards were rewritten and
-    where each new vertex was routed.
+    unchanged; additionally reports which shards were rewritten, how
+    many arcs their new blocks hold, and where each new vertex was
+    routed.
     """
 
     graph: "ShardedCSRGraph"
@@ -376,6 +382,7 @@ class ShardedIncrementalResult:
     new_vertex_shards: np.ndarray = field(
         default_factory=lambda: np.zeros(0, np.int64)
     )
+    arcs_written: int = 0
 
 
 def _ramp(counts: np.ndarray) -> np.ndarray:
@@ -386,11 +393,6 @@ def _ramp(counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(
         np.cumsum(counts) - counts, counts
     )
-
-
-def _canon_keys(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """Orientation-independent packed edge keys ``min * modulus + max``."""
-    return np.minimum(a, b) * np.int64(modulus) + np.maximum(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -882,9 +884,12 @@ class ShardedCSRGraph:
         """Shared delta decoding: birth-frame views of a delta plus the
         routing of its new vertices.
 
-        Returns ``(dead_births, del_edge_births, add_edge_births, routed,
-        shard_of_birth_ext)`` where the extended owner map also covers the
-        not-yet-born vertices at ``next_birth + j``.
+        Returns ``(dead_births, mirror_arcs, del_edge_births,
+        add_edge_births, routed, shard_of_birth_ext)``.  ``mirror_arcs``
+        is the ``(k, 2)`` ``(source, target)`` births of every arc that
+        points at a deleted vertex from a neighbour's row; gathering it
+        loads the deleted vertices' own blocks.  The extended owner map
+        also covers the not-yet-born vertices at ``next_birth + j``.
         """
         n = self.num_vertices
         n_add = delta.num_added_vertices
@@ -908,6 +913,16 @@ class ShardedCSRGraph:
                 [birth_of_endpoint(arr[:, 0]), birth_of_endpoint(arr[:, 1])]
             )
 
+        mirrors = [np.zeros((0, 2), dtype=np.int64)]
+        owners = self.shard_of_birth[dead_births]
+        for sid in np.unique(owners):
+            block = self.shard_block(int(sid))
+            dead = dead_births[owners == sid]
+            idx, counts = _row_gather(
+                block.xadj, np.searchsorted(block.births, dead)
+            )
+            mirrors.append(np.column_stack([block.adj[idx], np.repeat(dead, counts)]))
+
         routed = self.route_new_vertices(delta)
         shard_of_birth_ext = np.concatenate(
             [self.shard_of_birth, np.zeros(n_add, dtype=np.int64)]
@@ -916,6 +931,7 @@ class ShardedCSRGraph:
             shard_of_birth_ext[new_births] = routed
         return (
             dead_births,
+            np.concatenate(mirrors),
             edge_births(delta.deleted_edges),
             edge_births(delta.added_edges),
             routed,
@@ -925,39 +941,27 @@ class ShardedCSRGraph:
     def _touched_for(
         self,
         dead_births: np.ndarray,
+        mirrors: np.ndarray,
         del_edge_births: np.ndarray,
         add_edge_births: np.ndarray,
         routed: np.ndarray,
         shard_of_birth_ext: np.ndarray,
     ) -> set[int]:
         """The shards a decoded delta rewrites (see :meth:`touched_shards`)."""
-        touched: set[int] = set()
-        if len(dead_births):
-            owners = self.shard_of_birth[dead_births]
-            touched.update(int(s) for s in np.unique(owners))
-            # Mirror arcs of a deleted vertex live in its neighbours'
-            # shards, so those blocks must be rewritten too.
-            for sid in np.unique(owners):
-                block = self.shard_block(int(sid))
-                local = np.searchsorted(block.births, dead_births[owners == sid])
-                idx, _ = _row_gather(block.xadj, local)
-                touched.update(
-                    int(s)
-                    for s in np.unique(self.shard_of_birth[block.adj[idx]])
+        return {
+            int(s)
+            for s in np.unique(
+                np.concatenate(
+                    [
+                        self.shard_of_birth[dead_births],
+                        self.shard_of_birth[mirrors[:, 0]],
+                        self.shard_of_birth[del_edge_births.ravel()],
+                        shard_of_birth_ext[add_edge_births.ravel()],
+                        routed,
+                    ]
                 )
-        if len(del_edge_births):
-            touched.update(
-                int(s)
-                for s in np.unique(self.shard_of_birth[del_edge_births.ravel()])
             )
-        if len(add_edge_births):
-            touched.update(
-                int(s)
-                for s in np.unique(shard_of_birth_ext[add_edge_births.ravel()])
-            )
-        if len(routed):
-            touched.update(int(s) for s in np.unique(routed))
-        return touched
+        }
 
     def touched_shards(self, delta: GraphDelta) -> set[int]:
         """Shards a delta would rewrite: owners of deleted vertices *and
@@ -979,12 +983,33 @@ class ShardedCSRGraph:
     ) -> ShardedIncrementalResult:
         """Apply a delta shard-locally; only touched shards are rewritten.
 
-        Semantics (validation, ``strict`` missing-deletion errors,
-        ``accumulate_weights`` duplicate handling, the resulting id
-        mapping) match :func:`repro.graph.incremental.apply_delta` on the
-        assembled monolith exactly — the equivalence is property-tested.
-        New blocks are written under fresh revisions; ``self`` remains a
-        valid handle on the pre-delta graph until
+        Each touched block is spliced, not rebuilt.  Its arcs are sorted
+        by (local row, target birth), so ``row * M + target`` (``M``
+        exceeds every birth) is a strictly increasing key and every
+        lookup below is a binary search in it:
+
+        * a deleted edge is looked up in both orientations, each from
+          the row of its source; a hit drops the arc and proves the
+          edge existed;
+        * a deleted vertex drops its own rows, and the arcs that point
+          at it are looked up from its neighbours' rows;
+        * each distinct added edge gets one weight, summed in the order
+          :func:`repro.graph.incremental.apply_delta` sums it: the
+          surviving old weight (if any) first, then the added weights in
+          delta order.  Both arcs carry that one sum: a surviving arc
+          takes it in place, a new arc is inserted at its sorted
+          position;
+        * new vertices' rows go at the end (their births exceed every
+          old birth), and ``xadj`` is rebuilt from per-row arc counts.
+
+        The cost is O(arcs of the touched blocks) plus writing them;
+        nothing is hashed or sorted at block size.  Validation, the
+        order and text of the errors, ``strict``, ``accumulate_weights``
+        and the resulting id mapping match
+        :func:`repro.graph.incremental.apply_delta` on the assembled
+        monolith exactly (property-tested).  Every check runs before the
+        first block is written.  New blocks go under fresh revisions;
+        ``self`` remains a valid handle on the pre-delta graph until
         :meth:`drop_blocks_not_in` garbage-collects one side.
         """
         n = self.num_vertices
@@ -1025,47 +1050,45 @@ class ShardedCSRGraph:
             self.next_birth, self.next_birth + n_add, dtype=np.int64
         )
         births_after = np.concatenate([self.births[survivors], new_births])
-        (
-            dead_births,
-            del_edge_births,
-            add_edge_births,
-            routed,
-            shard_of_birth,
-        ) = self._delta_frames(delta)
+        dead_births, mirrors, del_edges, add_edges, routed, owner_ext = (
+            self._delta_frames(delta)
+        )
         touched = self._touched_for(
-            dead_births, del_edge_births, add_edge_births, routed,
-            shard_of_birth,
+            dead_births, mirrors, del_edges, add_edges, routed, owner_ext
         )
+        m = np.int64(self.next_birth + n_add)
+        dead_owner = self.shard_of_birth[dead_births]
 
-        modulus = self.next_birth + n_add
-        del_keys = (
-            _canon_keys(del_edge_births[:, 0], del_edge_births[:, 1], modulus)
-            if len(del_edge_births)
-            else np.zeros(0, dtype=np.int64)
+        # Arcs to drop, looked up from their source's row: both
+        # orientations of each deleted edge, then the mirror arcs.
+        k_del = len(del_edges)
+        drop = np.concatenate([del_edges, del_edges[:, ::-1], mirrors])
+        drop_owner = self.shard_of_birth[drop[:, 0]]
+        drop_hit = np.zeros(len(drop), dtype=bool)
+
+        # Distinct added edges (canonical birth keys; np.unique keeps each
+        # one's first occurrence) and their arcs in both orientations,
+        # sorted by (source, target) birth: within a block that is row
+        # order, so each block's share is already in splice order.
+        lo, hi = add_edges.min(axis=1), add_edges.max(axis=1)
+        uniq, first, inv = np.unique(
+            lo * m + hi, return_index=True, return_inverse=True
         )
-        uniq_del_keys = np.unique(del_keys)
-        add_keys = (
-            _canon_keys(add_edge_births[:, 0], add_edge_births[:, 1], modulus)
-            if len(add_edge_births)
-            else np.zeros(0, dtype=np.int64)
-        )
-        if len(add_edge_births) and np.any(
-            add_edge_births[:, 0] == add_edge_births[:, 1]
-        ):
-            raise GraphError("self-loops are not allowed")
-        if len(add_keys) and not accumulate_weights:
-            order = np.argsort(add_keys, kind="stable")
-            dup = add_keys[order[1:]] == add_keys[order[:-1]]
-            if np.any(dup):
-                offending = delta.added_edges[order[1:][dup]][:5]
-                raise GraphError(
-                    f"added_edges duplicate existing or other added edges: "
-                    f"{[tuple(int(x) for x in row) for row in offending]}"
-                    f"{'...' if dup.sum() > 5 else ''} (pass "
-                    f"accumulate_weights=True to sum the weights instead)"
-                )
+        ins_src = np.concatenate([uniq // m, uniq % m])
+        ins_dst = np.concatenate([uniq % m, uniq // m])
+        order = np.argsort(ins_src * m + ins_dst)
+        ins_src, ins_dst = ins_src[order], ins_dst[order]
+        ins_edge = np.tile(np.arange(len(uniq), dtype=np.int64), 2)[order]
+        ins_owner = owner_ext[ins_src]
+        # Per added arc: its source's row in its block, its position among
+        # the block's surviving arcs, and whether a surviving arc is there.
+        ins_row = np.zeros(len(ins_src), dtype=np.int64)
+        ins_at = np.zeros(len(ins_src), dtype=np.int64)
+        ins_hit = np.zeros(len(ins_src), dtype=bool)
+        old_w = np.zeros(len(uniq), dtype=np.float64)
+
         add_w = (
-            np.ones(len(add_edge_births), dtype=np.float64)
+            np.ones(len(add_edges), dtype=np.float64)
             if delta.added_eweights is None
             else np.asarray(delta.added_eweights, dtype=np.float64)
         )
@@ -1084,101 +1107,98 @@ class ShardedCSRGraph:
                 )
             )
 
-        # --- rebuild touched shards --------------------------------------
+        # --- pass 1: locate every dropped and added arc ------------------
+        located = []
+        for sid in sorted(touched):
+            block = self.shard_block(sid)
+            nv = block.num_vertices
+            rows = np.repeat(np.arange(nv, dtype=np.int64), np.diff(block.xadj))
+            keys = rows * m + block.adj
+            ext_births = np.concatenate([block.births, new_births[routed == sid]])
+            keep = np.ones(len(keys), dtype=bool)
+            alive = np.ones(len(ext_births), dtype=bool)
+            dead_rows = np.searchsorted(
+                block.births, dead_births[dead_owner == sid]
+            )
+            alive[dead_rows] = False
+            keep[_row_gather(block.xadj, dead_rows)[0]] = False
+            mine = np.flatnonzero(drop_owner == sid)
+            at, hit = _lookup(
+                keys,
+                np.searchsorted(block.births, drop[mine, 0]) * m + drop[mine, 1],
+            )
+            keep[at[hit]] = False
+            drop_hit[mine[hit]] = True
+            kept_keys = keys[keep]
+            kept_w = block.eweights[keep]
+            mine = np.flatnonzero(ins_owner == sid)
+            ins_row[mine] = np.searchsorted(ext_births, ins_src[mine])
+            ins_at[mine], ins_hit[mine] = _lookup(
+                kept_keys, ins_row[mine] * m + ins_dst[mine]
+            )
+            hit = mine[ins_hit[mine]]
+            old_w[ins_edge[hit]] = kept_w[ins_at[hit]]
+            located.append(
+                (sid, block, rows[keep], block.adj[keep], kept_w, ext_births, alive)
+            )
+
+        # --- checks, in the monolith's order ------------------------------
+        if k_del and strict:
+            found = drop_hit[:k_del] | drop_hit[k_del : 2 * k_del]
+            if not found.all():
+                raise _missing_deletions_error(delta.deleted_edges, found)
+        on_old = np.zeros(len(uniq), dtype=bool)
+        on_old[ins_edge[ins_hit]] = True
+        if len(add_edges) and not accumulate_weights:
+            clash = np.ones(len(inv), dtype=bool)
+            clash[first] = False
+            clash |= on_old[inv]
+            if clash.any():
+                raise _duplicates_error(delta.added_edges, clash)
+        if np.any(lo == hi):
+            raise GraphError("self-loops are not allowed")
+        # One sum per distinct edge: the surviving old weight first, then
+        # the added weights in delta order (bincount adds in array order).
+        old_idx = np.flatnonzero(on_old)
+        merged = np.bincount(
+            np.concatenate([old_idx, inv]),
+            weights=np.concatenate([old_w[old_idx], add_w]),
+            minlength=len(uniq),
+        )
+
+        # --- pass 2: splice ----------------------------------------------
         revs = self.revs.copy()
         shard_nv = self._shard_nv.copy()
         shard_narcs = self._shard_narcs.copy()
         shard_vw = self._shard_vw.copy()
-        matched_del = np.zeros(len(uniq_del_keys), dtype=bool)
-        clash_mask = np.zeros(len(add_keys), dtype=bool)
         pending_puts: list[tuple[int, ShardBlock]] = []
-
-        for sid in sorted(touched):
-            block = self.shard_block(sid)
-            src = block.arc_sources()
-            dst = block.adj
-            w = block.eweights
-            arc_keys = _canon_keys(src, dst, modulus)
-            if len(uniq_del_keys):
-                # Record which deletion keys exist anywhere pre-delta
-                # (each undirected edge is visible from both endpoint
-                # shards; seeing it in either one is enough).
-                matched_del |= np.isin(uniq_del_keys, arc_keys)
-            keep = np.ones(len(src), dtype=bool)
-            if len(dead_births):
-                keep &= ~np.isin(src, dead_births)
-                keep &= ~np.isin(dst, dead_births)
-            if len(uniq_del_keys):
-                keep &= ~np.isin(arc_keys, uniq_del_keys)
-            kept_src, kept_dst, kept_w = src[keep], dst[keep], w[keep]
-            kept_keys = arc_keys[keep]
-            # Which added arcs land in this shard (as source)?
-            if len(add_edge_births):
-                fwd = shard_of_birth[add_edge_births[:, 0]] == sid
-                bwd = shard_of_birth[add_edge_births[:, 1]] == sid
-                if not accumulate_weights and (fwd.any() or bwd.any()):
-                    local = fwd | bwd
-                    clash_mask[local] |= np.isin(
-                        add_keys[local], kept_keys
-                    )
-                new_src = np.concatenate(
-                    [add_edge_births[fwd, 0], add_edge_births[bwd, 1]]
-                )
-                new_dst = np.concatenate(
-                    [add_edge_births[fwd, 1], add_edge_births[bwd, 0]]
-                )
-                new_arc_w = np.concatenate([add_w[fwd], add_w[bwd]])
-            else:
-                new_src = np.zeros(0, dtype=np.int64)
-                new_dst = np.zeros(0, dtype=np.int64)
-                new_arc_w = np.zeros(0, dtype=np.float64)
-
-            # Owned vertex set after the delta.
-            owned_mask = np.ones(block.num_vertices, dtype=bool)
-            if len(dead_births):
-                owned_mask &= ~np.isin(block.births, dead_births)
-            mine_new = routed == sid if n_add else np.zeros(0, dtype=bool)
-            births_s = np.concatenate(
-                [block.births[owned_mask], new_births[mine_new]]
+        for sid, block, rows, adj, w, ext_births, alive in located:
+            mine = np.flatnonzero(ins_owner == sid)
+            hit, new = mine[ins_hit[mine]], mine[~ins_hit[mine]]
+            w[ins_at[hit]] = merged[ins_edge[hit]]
+            adj = np.insert(adj, ins_at[new], ins_dst[new])
+            w = np.insert(w, ins_at[new], merged[ins_edge[new]])
+            counts = np.bincount(rows, minlength=len(alive)) + np.bincount(
+                ins_row[new], minlength=len(alive)
             )
-            vweights_s = np.concatenate(
-                [block.vweights[owned_mask], add_vw[mine_new]]
-            )
-            coords_s = None
+            xadj = np.zeros(int(alive.sum()) + 1, dtype=np.int64)
+            np.cumsum(counts[alive], out=xadj[1:])
+            mine_new = routed == sid
+            coords = None
             if self.coords_dim is not None:
-                coords_s = np.vstack(
+                coords = np.vstack(
                     [
-                        block.coords[owned_mask].reshape(-1, self.coords_dim),
+                        block.coords.reshape(-1, self.coords_dim),
                         add_coords[mine_new].reshape(-1, self.coords_dim),
                     ]
-                )
-
-            all_src = np.concatenate([kept_src, new_src])
-            all_dst = np.concatenate([kept_dst, new_dst])
-            all_w = np.concatenate([kept_w, new_arc_w])
-            pos = np.searchsorted(births_s, all_src)
-            order = np.lexsort((all_dst, pos))
-            pos, all_dst, all_w = pos[order], all_dst[order], all_w[order]
-            # Merge duplicate arcs (accumulate_weights sums; without it
-            # duplicates have already raised above).
-            if len(pos) > 1:
-                same = (pos[1:] == pos[:-1]) & (all_dst[1:] == all_dst[:-1])
-                if np.any(same):
-                    group = np.concatenate([[0], np.cumsum(~same)])
-                    first = np.concatenate([[True], ~same])
-                    merged_w = np.bincount(group, weights=all_w)
-                    pos, all_dst = pos[first], all_dst[first]
-                    all_w = merged_w
-            xadj_s = np.zeros(len(births_s) + 1, dtype=np.int64)
-            np.add.at(xadj_s, pos + 1, 1)
-            np.cumsum(xadj_s, out=xadj_s)
+                )[alive]
             new_block = ShardBlock(
-                births=births_s,
-                xadj=xadj_s,
-                adj=all_dst,
-                eweights=all_w,
-                vweights=vweights_s,
-                coords=coords_s,
+                births=ext_births[alive],
+                xadj=xadj,
+                adj=adj,
+                eweights=w,
+                vweights=np.concatenate([block.vweights, add_vw[mine_new]])[alive],
+                coords=coords,
             )
             pending_puts.append((sid, new_block))
             revs[sid] += 1
@@ -1186,25 +1206,6 @@ class ShardedCSRGraph:
             shard_narcs[sid] = new_block.num_arcs
             shard_vw[sid] = float(new_block.vweights.sum())
 
-        # --- strict / duplicate error checks (post-scan, pre-commit) -----
-        if strict and len(uniq_del_keys) and not matched_del.all():
-            missing_keys = uniq_del_keys[~matched_del]
-            bad = np.isin(del_keys, missing_keys)
-            missing = delta.deleted_edges[bad][:5]
-            raise GraphError(
-                f"deleted_edges entries do not exist in the graph: "
-                f"{[tuple(int(x) for x in row) for row in missing]}"
-                f"{'...' if bad.sum() > 5 else ''} "
-                f"(pass strict=False to skip missing deletions)"
-            )
-        if not accumulate_weights and clash_mask.any():
-            offending = delta.added_edges[clash_mask][:5]
-            raise GraphError(
-                f"added_edges duplicate existing or other added edges: "
-                f"{[tuple(int(x) for x in row) for row in offending]}"
-                f"{'...' if clash_mask.sum() > 5 else ''} (pass "
-                f"accumulate_weights=True to sum the weights instead)"
-            )
         for sid, new_block in pending_puts:
             self.store.put(shard_key(sid, int(revs[sid])), new_block.to_arrays())
 
@@ -1212,7 +1213,7 @@ class ShardedCSRGraph:
             self.store,
             self.num_shards,
             births=births_after,
-            shard_of_birth=shard_of_birth,
+            shard_of_birth=owner_ext,
             revs=revs,
             next_birth=self.next_birth + n_add,
             coords_dim=self.coords_dim,
@@ -1229,6 +1230,7 @@ class ShardedCSRGraph:
             is_new=is_new,
             touched_shards=frozenset(touched),
             new_vertex_shards=routed,
+            arcs_written=int(sum(b.num_arcs for _, b in pending_puts)),
         )
 
     # ------------------------------------------------------------------

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graph import CSRGraph, grid_graph, random_geometric_graph
 from repro.mesh import irregular_mesh, node_graph
+
+# A long, reproducible run of the property tests, selected with
+# ``pytest --hypothesis-profile=ci-long``; tier-1 keeps the default.
+settings.register_profile(
+    "ci-long", max_examples=400, derandomize=True, deadline=None
+)
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import IncrementalGraphPartitioner
 from repro.bench.workloads import social_churn_stream
@@ -209,3 +210,165 @@ class TestComposeValidation:
         ds = [GraphDelta(deleted_vertices=[5]), GraphDelta(deleted_vertices=[5])]
         with pytest.raises(GraphError):
             compose_deltas(base, ds)  # second delta's frame has 5 vertices
+
+
+#: Edge weights ``k / 997``: non-dyadic, so a changed summation order
+#: shows up in the last bits.
+WEIGHTS = st.integers(1, 10**6).map(lambda k: k / 997.0)
+
+#: Messages ``DeltaComposer.fold`` shares with ``apply_delta``.
+SHARED_ERRORS = {
+    "deleted vertex id out of range",
+    "added edge endpoint out of range",
+    "deleted edge endpoint out of range",
+    "added edge references a deleted vertex",
+}
+
+
+def fold_error(cur, delta):
+    """The message ``compose_deltas`` raises at the step where a chain's
+    sequential application stops with a ``GraphError``: the checks
+    ``apply_delta`` shares come first, then missing deletions in delta
+    order, then each added edge in delta order."""
+    try:
+        apply_delta(cur, delta)
+    except GraphError as err:
+        if str(err) in SHARED_ERRORS:
+            return str(err)
+    else:
+        return None
+    for u, v in delta.deleted_edges.tolist():
+        if not cur.has_edge(u, v):
+            return (
+                f"deleted edge ({u}, {v}) does not exist at its step of the "
+                f"chain (pass strict=False to skip missing deletions)"
+            )
+    n = cur.num_vertices
+    gone = {(min(e), max(e)) for e in delta.deleted_edges.tolist()}
+    seen = set()
+    for u, v in delta.added_edges.tolist():
+        if u == v:
+            return "self-loops are not allowed"
+        key = (min(u, v), max(u, v))
+        if key in seen or (key not in gone and key[1] < n and cur.has_edge(u, v)):
+            return (
+                f"added edge ({u}, {v}) duplicates an existing edge at its "
+                f"step of the chain (pass accumulate_weights=True to sum the "
+                f"weights)"
+            )
+        seen.add(key)
+    raise AssertionError("apply_delta raised, but no fold check fires")
+
+
+@st.composite
+def faulty_chain(draw):
+    """A weighted base graph and a chain of deltas against it: vertex
+    and edge deletions, re-adds of deleted edges, additions deleted
+    again (cancellations) and, sometimes, one fault.  The chain stops
+    at the first delta that sequential application rejects."""
+    n = draw(st.integers(4, 12))
+    extra = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=10,
+        )
+    )
+    edges = {(i, i + 1) for i in range(n - 1)}
+    edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    edges = sorted(edges)
+    graph = CSRGraph.from_edges(
+        n, edges, eweights=[draw(WEIGHTS) for _ in edges]
+    )
+    deltas = []
+    cur, recent, born = graph, [], []
+    for _ in range(draw(st.integers(1, 5))):
+        m = cur.num_vertices
+        if m < 2:
+            break
+        live = [tuple(int(x) for x in e) for e in cur.edge_array()]
+        dead = set(draw(st.lists(st.integers(0, m - 1), max_size=2)))
+        if born and draw(st.booleans()):  # cancel an earlier addition
+            dead.add(draw(st.sampled_from(born)))
+        survivors = [v for v in range(m) if v not in dead]
+
+        deleted = []
+        if live:
+            for i in draw(st.lists(st.integers(0, len(live) - 1), max_size=3)):
+                u, v = live[i]
+                deleted.append((v, u) if draw(st.booleans()) else (u, v))
+        gone = {(min(e), max(e)) for e in deleted}
+        fresh = [
+            (u, v)
+            for i, u in enumerate(survivors)
+            for v in survivors[i + 1 :]
+            if (u, v) in gone or not cur.has_edge(u, v)
+        ]
+        readd = [e for e in recent if e[0] not in dead and e[1] not in dead]
+        n_add = draw(st.integers(0, 2)) if survivors else 0
+        added = [
+            (draw(st.sampled_from(survivors)), m + j) for j in range(n_add)
+        ]
+        if fresh:
+            added += draw(st.lists(st.sampled_from(fresh), max_size=2, unique=True))
+        if readd and draw(st.booleans()):
+            added.append(draw(st.sampled_from(readd)))
+
+        fault = draw(st.integers(0, 19))  # 14..19 break one rule
+        if fault == 14:
+            deleted.append((0, 0))
+        elif fault == 15 and live:
+            added.append(draw(st.sampled_from(live)))
+        elif fault == 16 and added:
+            u, v = draw(st.sampled_from(added))
+            added.append((v, u))
+        elif fault == 17:
+            added.append((m - 1, m - 1))
+        elif fault == 18 and dead:
+            added.append((min(dead), m + n_add))
+            n_add += 1
+        elif fault == 19:
+            added.append((0, m + n_add + 1))
+
+        delta = GraphDelta(
+            num_added_vertices=n_add,
+            added_edges=np.array(added, dtype=np.int64).reshape(-1, 2),
+            deleted_vertices=np.array(sorted(dead), dtype=np.int64),
+            deleted_edges=np.array(deleted, dtype=np.int64).reshape(-1, 2),
+            added_vweights=[draw(WEIGHTS) for _ in range(n_add)],
+            added_eweights=[draw(WEIGHTS) for _ in added],
+        )
+        deltas.append(delta)
+        try:
+            inc = apply_delta(cur, delta)
+        except GraphError:
+            return graph, deltas, fold_error(cur, delta)
+        cur = inc.graph
+        recent = [
+            (min(a, b), max(a, b))
+            for a, b in (inc.old_to_new[list(e)] for e in gone)
+            if a >= 0 and b >= 0
+        ]
+        born = [int(v) for v in inc.new_vertex_ids]
+    return graph, deltas, None
+
+
+class TestComposeProperty:
+    @given(faulty_chain())
+    @settings(deadline=None)
+    def test_composed_equals_sequential(self, chain):
+        """A valid chain composes to a delta whose application equals
+        the sequential one bit for bit; a faulty chain raises at the
+        faulty step with that step's message."""
+        graph, deltas, message = chain
+        if message is not None:
+            with pytest.raises(GraphError) as raised:
+                compose_deltas(graph, deltas)
+            assert str(raised.value) == message
+            return
+        part = np.arange(graph.num_vertices) % 3
+        g_seq, p_seq = apply_chain(graph, deltas, part)
+        inc = apply_delta(graph, compose_deltas(graph, deltas))
+        assert g_seq.same_structure(inc.graph)
+        assert g_seq.eweights.tobytes() == inc.graph.eweights.tobytes()
+        assert g_seq.vweights.tobytes() == inc.graph.vweights.tobytes()
+        assert np.array_equal(p_seq, carry_partition(part, inc))

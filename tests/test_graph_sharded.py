@@ -21,6 +21,7 @@ from repro.graph import (
     grid_graph,
 )
 from repro.mesh.sequences import dataset_a
+from repro.rng import make_rng
 
 
 @pytest.fixture
@@ -218,9 +219,25 @@ class TestDeltaEquivalence:
             sharded.apply_delta(GraphDelta(added_edges=[(3, 3)]))
 
 
+#: Edge weights ``k / 997``: non-dyadic, so a changed summation order
+#: shows up in the last bits.
+WEIGHTS = st.integers(1, 10**6).map(lambda k: k / 997.0)
+
+
 @st.composite
 def random_delta_chain(draw):
-    """A small random graph plus a chain of random valid deltas."""
+    """A small weighted graph, the ``apply_delta`` flags and a chain of
+    random deltas against it.
+
+    The deltas delete vertices and edges (either orientation, repeats,
+    edges that die with a deleted vertex, and edges that do not exist),
+    add vertices and edges (to new vertices, between survivors, the
+    same edge in both orientations) and sometimes break a rule (a
+    self-loop, a duplicate, a missing deletion).  The chain is built on
+    the monolith: a delta it rejects leaves the graph unchanged.
+    """
+    strict = draw(st.booleans())
+    accumulate = draw(st.booleans())
     n = draw(st.integers(6, 14))
     extra = draw(
         st.lists(
@@ -230,35 +247,147 @@ def random_delta_chain(draw):
     )
     edges = {(i, i + 1) for i in range(n - 1)}  # path keeps it connected
     edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
-    graph = CSRGraph.from_edges(n, sorted(edges))
-    num_steps = draw(st.integers(1, 3))
+    edges = sorted(edges)
+    graph = CSRGraph.from_edges(
+        n, edges, eweights=[draw(WEIGHTS) for _ in edges]
+    )
+    kwargs = {"strict": strict, "accumulate_weights": accumulate}
     deltas = []
     cur = graph
-    for _ in range(num_steps):
+    for _ in range(draw(st.integers(1, 4))):
         m = cur.num_vertices
-        n_add = draw(st.integers(0, 3))
-        add_edges = [(draw(st.integers(0, m - 1)), m + j) for j in range(n_add)]
-        # maybe delete one high-id vertex that is not an endpoint above
-        dels = []
-        victim = draw(st.integers(0, m - 1))
-        if victim not in {e[0] for e in add_edges} and draw(st.booleans()):
-            dels = [victim]
+        if m < 2:
+            break
+        live = [tuple(int(x) for x in e) for e in cur.edge_array()]
+        dead = draw(st.lists(st.integers(0, m - 1), max_size=2, unique=True))
+        survivors = [v for v in range(m) if v not in dead]
+
+        deleted = []
+        if live:
+            for i in draw(st.lists(st.integers(0, len(live) - 1), max_size=4)):
+                u, v = live[i]
+                deleted.append((v, u) if draw(st.booleans()) else (u, v))
+        dying = [e for e in live if e[0] in dead or e[1] in dead]
+        if dying and draw(st.booleans()):
+            deleted.append(draw(st.sampled_from(dying)))
+        if draw(st.integers(0, 4)) == 4:  # maybe a non-edge
+            deleted.append(
+                (draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)))
+            )
+
+        n_add = draw(st.integers(0, 3)) if survivors else 0
+        added = [
+            (draw(st.sampled_from(survivors)), m + j) for j in range(n_add)
+        ]
+        if n_add > 1 and draw(st.booleans()):
+            added.append((m + n_add - 1, m))
+        gone = {(min(e), max(e)) for e in deleted}
+        fresh = [
+            (u, v)
+            for i, u in enumerate(survivors)
+            for v in survivors[i + 1 :]
+            if (u, v) in gone or not cur.has_edge(u, v)
+        ]
+        if fresh:
+            added += draw(st.lists(st.sampled_from(fresh), max_size=3))
+        if added and draw(st.booleans()) and (
+            accumulate or draw(st.integers(0, 3)) == 3
+        ):  # the same edge again, in the other orientation
+            u, v = draw(st.sampled_from(added))
+            added.append((v, u))
+        if live and draw(st.integers(0, 3)) == 3:  # maybe a surviving edge
+            u, v = draw(st.sampled_from(live))
+            added.append((u, v))
+            if accumulate and draw(st.booleans()):
+                added += [(v, u), (u, v)]
+        if draw(st.integers(0, 9)) == 9:
+            v = draw(st.integers(0, m - 1))
+            added.append((v, v))
+
         delta = GraphDelta(
             num_added_vertices=n_add,
-            added_edges=np.array(add_edges, dtype=np.int64).reshape(-1, 2),
-            deleted_vertices=np.array(dels, dtype=np.int64),
+            added_edges=np.array(added, dtype=np.int64).reshape(-1, 2),
+            deleted_vertices=np.array(dead, dtype=np.int64),
+            deleted_edges=np.array(deleted, dtype=np.int64).reshape(-1, 2),
+            added_vweights=[draw(WEIGHTS) for _ in range(n_add)],
+            added_eweights=[draw(WEIGHTS) for _ in added],
         )
-        cur = apply_delta(cur, delta).graph
+        try:
+            cur = apply_delta(cur, delta, **kwargs).graph
+        except GraphError:
+            pass
         deltas.append(delta)
-    return graph, deltas
+    return graph, kwargs, deltas
 
 
 class TestPropertyEquivalence:
     @given(random_delta_chain(), st.integers(1, 5))
-    @settings(max_examples=40, deadline=None)
+    @settings(deadline=None)
     def test_random_chain_matches_monolith(self, chain, num_shards):
-        graph, deltas = chain
-        run_chain_equivalence(graph, deltas, num_shards)
+        """Valid deltas give bit-equal graphs; invalid ones raise the
+        monolith's message and leave the store as it was."""
+        mono, kwargs, deltas = chain
+        sharded = ShardedCSRGraph.from_csr(mono, num_shards)
+        for i, delta in enumerate(deltas):
+            try:
+                inc_m = apply_delta(mono, delta, **kwargs)
+            except GraphError as err:
+                keys = sharded.store.keys()
+                with pytest.raises(GraphError) as raised:
+                    sharded.apply_delta(delta, **kwargs)
+                assert str(raised.value) == str(err), i
+                assert sharded.store.keys() == keys, i
+                continue
+            inc_s = sharded.apply_delta(delta, **kwargs)
+            assert np.array_equal(inc_m.old_to_new, inc_s.old_to_new), i
+            dense = inc_s.graph.to_csr(validate=True)
+            assert_graphs_equal(dense, inc_m.graph)
+            assert dense.eweights.tobytes() == inc_m.graph.eweights.tobytes()
+            sharded.drop_blocks_not_in(inc_s.graph)
+            mono, sharded = inc_m.graph, inc_s.graph
+            sharded.validate()
+
+
+class TestApplyDeltaRegressions:
+    def test_edge_added_in_both_orientations_sums_symmetrically(self):
+        """One delta adding an edge as (1, 0), (0, 1), (1, 0): both arcs
+        carry the one sum, old weight first, then delta order."""
+        rng = make_rng(23)  # summing the old weight last would differ here
+        path = CSRGraph.from_edges(
+            6, [(i, i + 1) for i in range(5)], eweights=rng.random(5)
+        )
+        delta = GraphDelta(
+            added_edges=[(1, 0), (0, 1), (1, 0)], added_eweights=rng.random(3)
+        )
+        inc_m = apply_delta(path, delta, accumulate_weights=True)
+        inc_s = ShardedCSRGraph.from_csr(path, 2).apply_delta(
+            delta, accumulate_weights=True
+        )
+        dense = inc_s.graph.to_csr(validate=True)
+        assert dense.eweights.tobytes() == inc_m.graph.eweights.tobytes()
+        w = delta.added_eweights
+        assert dense.edge_weight(0, 1) == ((path.edge_weight(0, 1) + w[0]) + w[1]) + w[2]
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            # missing deletion before a duplicate
+            GraphDelta(added_edges=[(0, 2), (2, 0)], deleted_edges=[(0, 5)]),
+            # duplicate before a self-loop
+            GraphDelta(added_edges=[(3, 4), (2, 2)]),
+            # offending duplicates listed in delta order
+            GraphDelta(added_edges=[(9, 10), (2, 3), (10, 9), (3, 2)]),
+        ],
+    )
+    def test_errors_match_monolith(self, grid, delta):
+        sharded = ShardedCSRGraph.from_csr(grid, 4)
+        keys = sharded.store.keys()
+        with pytest.raises(GraphError) as mono:
+            apply_delta(grid, delta)
+        with pytest.raises(GraphError) as shard:
+            sharded.apply_delta(delta)
+        assert str(shard.value) == str(mono.value)
+        assert sharded.store.keys() == keys
 
 
 # ----------------------------------------------------------------------

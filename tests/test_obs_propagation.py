@@ -148,6 +148,10 @@ class TestGatewayEndToEnd:
         # sharded + shard-native: the BoundaryFrame cache counters land
         # on the flush span
         assert "frame_hits" in attrs and "frame_fetches" in attrs
+        # ... and the apply span says what the delta rewrote
+        (apply_row,) = [r for r in trace if r["name"] == "flush.apply"]
+        assert 1 <= apply_row["attrs"]["touched"] <= 2
+        assert apply_row["attrs"]["arcs"] > 0
 
         (http_row,) = [r for r in trace if r["name"] == "http.request"]
         assert http_row["attrs"]["request_id"] == request_id
