@@ -435,12 +435,12 @@ class DeltaComposer:
     the ``j``-th vertex ever added along the chain (cancelled additions
     keep their slot so encodings stay stable; :meth:`to_delta` compacts
     them).  A :meth:`fold` does Python work in proportion to the folded
-    delta; a fold that adds or deletes vertices also copies the
-    frame-sized provenance array once (a vectorised mask-and-append, no
-    per-vertex Python), and a fold that deletes vertices filters the
-    accumulated added edges once.  That is what lets the streaming layer
-    ingest long delta streams cheaply and only materialise the composed
-    :class:`GraphDelta` at flush.
+    delta.  A fold that deletes vertices also compacts the frame-sized
+    provenance array with one vectorised mask (no per-vertex Python) and
+    filters the accumulated added edges once; additions append into the
+    array's spare capacity, O(delta) amortised.  That is what lets the
+    streaming layer ingest long delta streams cheaply and only
+    materialise the composed :class:`GraphDelta` at flush.
 
     See :func:`compose_deltas` for the equivalence and cancellation
     semantics; that function is a thin wrapper over this class.
@@ -458,8 +458,10 @@ class DeltaComposer:
         self.accumulate_weights = accumulate_weights
         self.n_old = graph.num_vertices
         self.num_folded = 0
-        # Current-frame id -> encoded id.
-        self._prov = np.arange(self.n_old, dtype=np.int64)
+        # Current-frame id -> encoded id: a view of the first len(frame)
+        # entries of ``_prov_buf``, whose tail is spare capacity.
+        self._prov_buf = np.arange(self.n_old, dtype=np.int64)
+        self._prov = self._prov_buf
         self._add_alive: list[bool] = []
         self._add_w: list[float] = []
         self._add_coords: list[np.ndarray | None] = []
@@ -514,9 +516,11 @@ class DeltaComposer:
             d.deleted_edges.min() < 0 or d.deleted_edges.max() >= n_cur
         ):
             raise GraphError("deleted edge endpoint out of range")
-        if len(d.added_edges) and _lookup(
-            d.deleted_vertices, d.added_edges.ravel()
-        )[1].any():
+        if (
+            len(d.added_edges)
+            and len(d.deleted_vertices)
+            and _lookup(d.deleted_vertices, d.added_edges.ravel())[1].any()
+        ):
             raise GraphError("added edge references a deleted vertex")
 
         def encode(c: int) -> int:
@@ -608,20 +612,26 @@ class DeltaComposer:
                 self._added_edges[k] = float(w)
 
         # --- renumber into the next frame -------------------------------
-        # One mask drops the deleted vertices; the additions append.
-        if len(d.deleted_vertices) or d.num_added_vertices:
+        # One mask drops the deleted vertices; the additions append into
+        # spare capacity, doubled when it runs out.
+        n_keep = n_cur
+        buf = self._prov_buf
+        if len(d.deleted_vertices):
             survive = np.ones(n_cur, dtype=bool)
             survive[d.deleted_vertices] = False
-            self._prov = np.concatenate(
-                [
-                    prov[survive],
-                    np.arange(
-                        n_old + base_j,
-                        n_old + base_j + d.num_added_vertices,
-                        dtype=np.int64,
-                    ),
-                ]
+            kept = prov[survive]
+            n_keep = len(kept)
+            buf[:n_keep] = kept
+        n_next = n_keep + d.num_added_vertices
+        if n_next > len(buf):
+            buf = np.concatenate(
+                [buf[:n_keep], np.empty(n_next, dtype=np.int64)]
             )
+            self._prov_buf = buf
+        buf[n_keep:n_next] = np.arange(
+            n_old + base_j, n_old + base_j + d.num_added_vertices
+        )
+        self._prov = buf[:n_next]
         self.num_folded += 1
         return self
 

@@ -1080,12 +1080,7 @@ class ShardedCSRGraph:
         ins_src, ins_dst = ins_src[order], ins_dst[order]
         ins_edge = np.tile(np.arange(len(uniq), dtype=np.int64), 2)[order]
         ins_owner = owner_ext[ins_src]
-        # Per added arc: its source's row in its block, its position among
-        # the block's surviving arcs, and whether a surviving arc is there.
-        ins_row = np.zeros(len(ins_src), dtype=np.int64)
-        ins_at = np.zeros(len(ins_src), dtype=np.int64)
-        ins_hit = np.zeros(len(ins_src), dtype=bool)
-        old_w = np.zeros(len(uniq), dtype=np.float64)
+        on_old = np.zeros(len(uniq), dtype=bool)
 
         add_w = (
             np.ones(len(add_edges), dtype=np.float64)
@@ -1107,14 +1102,19 @@ class ShardedCSRGraph:
                 )
             )
 
-        # --- pass 1: locate every dropped and added arc ------------------
-        located = []
+        # --- splice each touched block -----------------------------------
+        revs = self.revs.copy()
+        shard_nv = self._shard_nv.copy()
+        shard_narcs = self._shard_narcs.copy()
+        shard_vw = self._shard_vw.copy()
+        pending_puts: list[tuple[int, ShardBlock]] = []
         for sid in sorted(touched):
             block = self.shard_block(sid)
             nv = block.num_vertices
             rows = np.repeat(np.arange(nv, dtype=np.int64), np.diff(block.xadj))
             keys = rows * m + block.adj
-            ext_births = np.concatenate([block.births, new_births[routed == sid]])
+            mine_new = routed == sid
+            ext_births = np.concatenate([block.births, new_births[mine_new]])
             keep = np.ones(len(keys), dtype=bool)
             alive = np.ones(len(ext_births), dtype=bool)
             dead_rows = np.searchsorted(
@@ -1129,61 +1129,39 @@ class ShardedCSRGraph:
             )
             keep[at[hit]] = False
             drop_hit[mine[hit]] = True
-            kept_keys = keys[keep]
-            kept_w = block.eweights[keep]
-            mine = np.flatnonzero(ins_owner == sid)
-            ins_row[mine] = np.searchsorted(ext_births, ins_src[mine])
-            ins_at[mine], ins_hit[mine] = _lookup(
-                kept_keys, ins_row[mine] * m + ins_dst[mine]
-            )
-            hit = mine[ins_hit[mine]]
-            old_w[ins_edge[hit]] = kept_w[ins_at[hit]]
-            located.append(
-                (sid, block, rows[keep], block.adj[keep], kept_w, ext_births, alive)
-            )
+            rows, adj, w = rows[keep], block.adj[keep], block.eweights[keep]
 
-        # --- checks, in the monolith's order ------------------------------
-        if k_del and strict:
-            found = drop_hit[:k_del] | drop_hit[k_del : 2 * k_del]
-            if not found.all():
-                raise _missing_deletions_error(delta.deleted_edges, found)
-        on_old = np.zeros(len(uniq), dtype=bool)
-        on_old[ins_edge[ins_hit]] = True
-        if len(add_edges) and not accumulate_weights:
-            clash = np.ones(len(inv), dtype=bool)
-            clash[first] = False
-            clash |= on_old[inv]
-            if clash.any():
-                raise _duplicates_error(delta.added_edges, clash)
-        if np.any(lo == hi):
-            raise GraphError("self-loops are not allowed")
-        # One sum per distinct edge: the surviving old weight first, then
-        # the added weights in delta order (bincount adds in array order).
-        old_idx = np.flatnonzero(on_old)
-        merged = np.bincount(
-            np.concatenate([old_idx, inv]),
-            weights=np.concatenate([old_w[old_idx], add_w]),
-            minlength=len(uniq),
-        )
-
-        # --- pass 2: splice ----------------------------------------------
-        revs = self.revs.copy()
-        shard_nv = self._shard_nv.copy()
-        shard_narcs = self._shard_narcs.copy()
-        shard_vw = self._shard_vw.copy()
-        pending_puts: list[tuple[int, ShardBlock]] = []
-        for sid, block, rows, adj, w, ext_births, alive in located:
+            # This block's added arcs: their source's row, their position
+            # among the surviving arcs, and whether a surviving arc is
+            # there (the edge already exists).
             mine = np.flatnonzero(ins_owner == sid)
-            hit, new = mine[ins_hit[mine]], mine[~ins_hit[mine]]
-            w[ins_at[hit]] = merged[ins_edge[hit]]
-            adj = np.insert(adj, ins_at[new], ins_dst[new])
-            w = np.insert(w, ins_at[new], merged[ins_edge[new]])
+            row = np.searchsorted(ext_births, ins_src[mine])
+            at, hit = _lookup(rows * m + adj, row * m + ins_dst[mine])
+            edge = ins_edge[mine]
+            # One sum per distinct edge: the surviving old weight first,
+            # then the added weights in delta order (bincount adds in
+            # array order).  Weights are symmetric, so the blocks at both
+            # ends of an edge compute the same sum.
+            has_old = np.zeros(len(uniq), dtype=bool)
+            has_old[edge[hit]] = True
+            on_old |= has_old
+            old_w = np.zeros(len(uniq), dtype=np.float64)
+            old_w[edge[hit]] = w[at[hit]]
+            old_idx = np.flatnonzero(has_old)
+            merged = np.bincount(
+                np.concatenate([old_idx, inv]),
+                weights=np.concatenate([old_w[old_idx], add_w]),
+                minlength=len(uniq),
+            )
+            w[at[hit]] = merged[edge[hit]]
+            new = ~hit
+            adj = np.insert(adj, at[new], ins_dst[mine[new]])
+            w = np.insert(w, at[new], merged[edge[new]])
             counts = np.bincount(rows, minlength=len(alive)) + np.bincount(
-                ins_row[new], minlength=len(alive)
+                row[new], minlength=len(alive)
             )
             xadj = np.zeros(int(alive.sum()) + 1, dtype=np.int64)
             np.cumsum(counts[alive], out=xadj[1:])
-            mine_new = routed == sid
             coords = None
             if self.coords_dim is not None:
                 coords = np.vstack(
@@ -1205,6 +1183,20 @@ class ShardedCSRGraph:
             shard_nv[sid] = new_block.num_vertices
             shard_narcs[sid] = new_block.num_arcs
             shard_vw[sid] = float(new_block.vweights.sum())
+
+        # --- checks, in the monolith's order, before any block is put ----
+        if k_del and strict:
+            found = drop_hit[:k_del] | drop_hit[k_del : 2 * k_del]
+            if not found.all():
+                raise _missing_deletions_error(delta.deleted_edges, found)
+        if len(add_edges) and not accumulate_weights:
+            clash = np.ones(len(inv), dtype=bool)
+            clash[first] = False
+            clash |= on_old[inv]
+            if clash.any():
+                raise _duplicates_error(delta.added_edges, clash)
+        if np.any(lo == hi):
+            raise GraphError("self-loops are not allowed")
 
         for sid, new_block in pending_puts:
             self.store.put(shard_key(sid, int(revs[sid])), new_block.to_arrays())

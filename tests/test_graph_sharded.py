@@ -126,6 +126,17 @@ class TestSplitRoundTrip:
 # ----------------------------------------------------------------------
 # Monolith equivalence along delta chains
 # ----------------------------------------------------------------------
+def assert_step_matches(inc_m, inc_s, i):
+    """One sharded apply_delta step equals the monolith's: id mapping,
+    new-vertex ids, structure and bit-equal edge weights."""
+    assert np.array_equal(inc_m.old_to_new, inc_s.old_to_new), i
+    assert np.array_equal(inc_m.new_vertex_ids, inc_s.new_vertex_ids), i
+    assert np.array_equal(inc_m.is_new, inc_s.is_new), i
+    dense = inc_s.graph.to_csr(validate=True)
+    assert_graphs_equal(dense, inc_m.graph)
+    assert dense.eweights.tobytes() == inc_m.graph.eweights.tobytes(), i
+
+
 def run_chain_equivalence(mono, deltas, num_shards, part=None, **kwargs):
     sharded = ShardedCSRGraph.from_csr(mono, num_shards)
     carried_m = carried_s = (
@@ -134,10 +145,7 @@ def run_chain_equivalence(mono, deltas, num_shards, part=None, **kwargs):
     for i, delta in enumerate(deltas):
         inc_m = apply_delta(mono, delta, **kwargs)
         inc_s = sharded.apply_delta(delta, **kwargs)
-        assert np.array_equal(inc_m.old_to_new, inc_s.old_to_new), i
-        assert np.array_equal(inc_m.new_vertex_ids, inc_s.new_vertex_ids), i
-        assert np.array_equal(inc_m.is_new, inc_s.is_new), i
-        assert_graphs_equal(inc_s.graph.to_csr(validate=True), inc_m.graph)
+        assert_step_matches(inc_m, inc_s, i)
         if carried_m is not None:
             carried_m = carry_partition(carried_m, inc_m)
             carried_s = carry_partition(carried_s, inc_s)
@@ -339,10 +347,7 @@ class TestPropertyEquivalence:
                 assert sharded.store.keys() == keys, i
                 continue
             inc_s = sharded.apply_delta(delta, **kwargs)
-            assert np.array_equal(inc_m.old_to_new, inc_s.old_to_new), i
-            dense = inc_s.graph.to_csr(validate=True)
-            assert_graphs_equal(dense, inc_m.graph)
-            assert dense.eweights.tobytes() == inc_m.graph.eweights.tobytes()
+            assert_step_matches(inc_m, inc_s, i)
             sharded.drop_blocks_not_in(inc_s.graph)
             mono, sharded = inc_m.graph, inc_s.graph
             sharded.validate()
