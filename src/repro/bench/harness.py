@@ -101,6 +101,12 @@ def estimate_rsb_cm5_time(
     return machine.compute_time(work_units)
 
 
+def _check_parallel(par, res) -> None:
+    """The SPMD run must reproduce the serial partition and stages."""
+    if not np.array_equal(par.part, res.part) or par.result.stages != res.stages:
+        raise AssertionError("parallel result diverged from serial")
+
+
 def _igp_rows(
     dataset: str,
     version: int,
@@ -132,8 +138,7 @@ def _igp_rows(
             par = parallel_repartition(
                 graph, carried.copy(), cfg, num_ranks=parallel_ranks, machine=machine
             )
-            if not np.array_equal(par.part, res.part):
-                raise AssertionError("parallel result diverged from serial")
+            _check_parallel(par, res)
             sim_p = par.elapsed
         q = res.quality_final
         rows.append(
@@ -250,8 +255,7 @@ def run_figure11(
                         inc.graph, carried.copy(), cfg,
                         num_ranks=parallel_ranks, machine=machine,
                     )
-                    if not np.array_equal(par.part, res.part):
-                        raise AssertionError("parallel result diverged from serial")
+                    _check_parallel(par, res)
                     sim_p = par.elapsed
             chained[name][version] = res.part
             q = res.quality_final

@@ -14,10 +14,12 @@ Pipeline (paper Figure 1):
    (eqs. 14–16), iterated with the ≥ → > switch the paper describes.
 
 :class:`~repro.core.partitioner.IncrementalGraphPartitioner` drives the
-whole pipeline (the paper's IGP; with ``refine=True`` it is IGPR), and
-:mod:`repro.core.parallel_igp` runs the same pipeline SPMD on the virtual
-machine.  :mod:`repro.core.quality` computes the cutset/balance metrics
-the paper's tables report.
+whole pipeline (the paper's IGP; with ``refine=True`` it is IGPR).
+:mod:`repro.core.parallel_igp` runs that same driver on every rank of the
+virtual machine; the operations a rank does differently — the LP solve,
+the load and cut allreduces, the mover exchange — are the
+:class:`~repro.core.ops.PhaseOps` seam.  :mod:`repro.core.quality`
+computes the cutset/balance metrics the paper's tables report.
 """
 
 from repro.core.quality import (

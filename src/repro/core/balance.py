@@ -32,6 +32,7 @@ automatically integral — asserted by the property tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from repro.errors import ValidationError
 from repro.lp.backends import solve_with_backend
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult
-from repro.lp.revised import Basis, BasisCarrier
+from repro.lp.revised import Basis
 
 __all__ = [
     "BalanceLP",
@@ -48,7 +49,6 @@ __all__ = [
     "build_relaxed_balance_lp",
     "extract_moves",
     "solve_balance",
-    "solve_balance_relaxed",
     "solve_stage",
 ]
 
@@ -251,50 +251,51 @@ def extract_moves(bal: BalanceLP, result: LPResult, p: int) -> np.ndarray:
     return moves
 
 
+def _solution(bal: BalanceLP, result: LPResult, p: int) -> BalanceSolution:
+    return BalanceSolution(
+        moves=extract_moves(bal, result, p), result=result, balance_lp=bal
+    )
+
+
 def solve_stage(
-    plain_attempt,
-    relaxed_attempt,
-    lam: float,
-    integral: bool,
-    carrier: BasisCarrier | None = None,
-):
+    delta: np.ndarray,
+    loads: np.ndarray,
+    solve: Callable[[LinearProgram], LPResult],
+) -> tuple[BalanceSolution, float] | None:
     """One balance stage: exact LP first, max-progress relaxation second.
 
     Parameters
     ----------
-    plain_attempt / relaxed_attempt:
-        callables ``target -> BalanceSolution`` for the exact (eq. 10–12)
-        and relaxed (excess-minimising) formulations.  The callable
-        indirection lets the serial driver plug in a backend solver and
-        the SPMD driver the parallel simplex, guaranteeing identical
-        decisions.
-    lam:
-        average load; the stage target is ``ceil(λ)`` for integral data.
-    carrier:
-        optional :class:`~repro.lp.revised.BasisCarrier`; every optimal
-        attempt deposits its final basis here so the *next* stage (or the
-        relaxed retry of this one) can warm-start.  The attempt callables
-        are expected to read ``carrier.basis`` themselves when building
-        their solves.
+    delta / loads:
+        the layering's ``δ`` matrix and the current per-partition loads;
+        the stage target is ``ceil(λ)`` for integral loads, else ``λ``.
+    solve:
+        ``lp -> LPResult``; the serial driver and each SPMD rank pass
+        their own (see :class:`~repro.core.ops.PhaseOps`), so both make
+        the same decisions.  A warm-capable solve reads and updates its
+        carried basis itself, so the relaxed retry warm-starts from the
+        exact attempt.
 
     Returns
     -------
     (solution, gamma) or None
-        gamma is 1.0 for an exact stage; for a relaxed stage the
-        effective relaxation achieved.  None when the relaxation cannot
-        move anything (the paper's repartition-from-scratch condition).
+        gamma is 1.0 for an exact stage; for a relaxed stage ``inf`` (the
+        caller computes the effective relaxation from the new loads).
+        None when the relaxation cannot move anything (the paper's
+        repartition-from-scratch condition).
     """
+    p = len(loads)
+    lam = float(np.sum(loads)) / p
+    integral = bool(np.allclose(loads, np.round(loads)))
     target = float(np.ceil(lam - 1e-9)) if integral else lam
-    sol = plain_attempt(target)
-    if carrier is not None:
-        carrier.update_from(sol.result)
+    bal = build_balance_lp(delta, loads, target=target)
+    sol = _solution(bal, solve(bal.lp), p)
     if sol.feasible:
         return sol, 1.0
-    sol = relaxed_attempt(target)
-    if carrier is not None:
-        carrier.update_from(sol.result)
+    bal = build_relaxed_balance_lp(delta, loads, target)
+    sol = _solution(bal, solve(bal.lp), p)
     if sol.feasible and sol.total_movement > 1e-9:
-        return sol, np.inf  # effective gamma computed by the caller
+        return sol, np.inf
     return None
 
 
@@ -313,25 +314,4 @@ def solve_balance(
     backends ignore it.
     """
     bal = build_balance_lp(delta, loads, gamma, target=target)
-    p = len(loads)
-    result = solve_with_backend(lp_backend, bal.lp, basis)
-    return BalanceSolution(
-        moves=extract_moves(bal, result, p), result=result, balance_lp=bal
-    )
-
-
-def solve_balance_relaxed(
-    delta: np.ndarray,
-    loads: np.ndarray,
-    target: float,
-    lp_backend: str = "tableau",
-    *,
-    basis: Basis | None = None,
-) -> BalanceSolution:
-    """Build and solve the max-progress relaxation (always feasible)."""
-    bal = build_relaxed_balance_lp(delta, loads, target)
-    p = len(loads)
-    result = solve_with_backend(lp_backend, bal.lp, basis)
-    return BalanceSolution(
-        moves=extract_moves(bal, result, p), result=result, balance_lp=bal
-    )
+    return _solution(bal, solve_with_backend(lp_backend, bal.lp, basis), len(loads))

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.ops import PhaseOps
 from repro.core.partitioner import IGPConfig, IncrementalGraphPartitioner
 from repro.core.refine import refine_partition
 from repro.graph.builder import from_edge_list
@@ -135,6 +136,7 @@ def multilevel_bisection_partition(
             lp_backend=lp_backend,
         )
     )
+    ops = PhaseOps(num_partitions, lp_backend)
     from repro.errors import RepartitionInfeasibleError
 
     for idx in range(len(levels) - 1, -1, -1):
@@ -149,7 +151,5 @@ def multilevel_bisection_partition(
             part = igp.repartition(level_graph, part).part
         except RepartitionInfeasibleError:
             pass  # keep the projected partition if balance is impossible
-        part, _ = refine_partition(
-            level_graph, part, num_partitions, lp_backend=lp_backend
-        )
+        part, _ = refine_partition(level_graph, part, num_partitions, ops=ops)
     return part

@@ -1,21 +1,38 @@
-"""Parallel IGP/IGPR: the full pipeline as an SPMD rank program.
+"""Parallel IGP/IGPR: the serial pipeline as an SPMD rank program.
 
 This is the configuration the paper actually timed: 32 partitions on a
-32-node CM-5, every phase parallel — BFS assignment and layering by
-partition ownership, the balance/refinement LPs by the column-distributed
-simplex (:mod:`repro.lp.parallel_simplex`), movement by owner exchange.
+32-node CM-5.  Every rank runs
+:meth:`~repro.core.partitioner.IncrementalGraphPartitioner.repartition`
+— the same stage loop and the same assign, layering, balance, mover and
+refine functions as a serial run — on replicated data.  Only the
+operations of :class:`~repro.core.ops.PhaseOps` are SPMD:
+
+* the LP solve: the column-distributed dense simplex
+  (:mod:`repro.lp.parallel_simplex`) for the tableau backends, whose
+  pivot sequence is the serial tableau's; every other backend solves
+  replicated, each rank from the same carried basis;
+* the per-partition loads and the edge cut, combined by allreduce;
+* applying movers, by the owner exchange of :func:`parallel_apply_flows`.
+
+Ownership: partition ``q`` lives on rank ``q mod size``, and an
+unassigned new vertex on rank ``id mod size``.  The cost model is the
+rows that owned vertices read plus the named exchanges: each rank's
+graph view charges the simulated clock one work unit per arc of the
+owned rows a phase reads, the mover exchange charges the owned movers,
+and the LP solve charges its own pivots.
 
 Determinism contract: :func:`parallel_repartition` returns *exactly* the
-partition vector the serial
+partition vector, stage records and refinement statistics the serial
 :class:`~repro.core.partitioner.IncrementalGraphPartitioner` produces for
-the same inputs **and the same starting warm-start bases** (every
-tie-break is replicated; the tableau backends pivot identically, the
-other backends run replicated).  A fresh serial partitioner matches a
-plain parallel call; a serial partitioner *reused* across repartition
-calls under ``lp_backend="revised"`` carries bases between calls, so the
-matching parallel call must be seeded with ``initial_bases=
-igp.warm_bases``.  The integration tests assert vector equality — the
-parallel machine changes the clock, never the answer.
+the same inputs **and the same starting warm-start bases** — there is
+one code path, and every SPMD operation returns the serial value bit for
+bit.  A fresh serial partitioner matches a plain parallel call; a serial
+partitioner *reused* across repartition calls under
+``lp_backend="revised"`` carries bases between calls, so the matching
+parallel call must be seeded with ``initial_bases=igp.warm_bases``.
+
+Spans: every rank runs the driver, but only rank 0 records its ``lp.*``
+spans; the other ranks time their phases with a disabled tracer.
 
 Simulated timings: run under ``num_ranks=1`` for the paper's ``Time-s``
 (one CM-5 node) and ``num_ranks=32`` for ``Time-p``; both come from the
@@ -28,32 +45,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.balance import (
-    BalanceSolution,
-    build_balance_lp,
-    build_relaxed_balance_lp,
-    extract_moves,
-    solve_stage,
+from repro.core.ops import PhaseOps
+from repro.core.partitioner import (
+    IGPConfig,
+    IncrementalGraphPartitioner,
+    RepartitionResult,
 )
-from repro.core.mover import select_movers
-from repro.core.partitioner import IGPConfig
-from repro.core.refine import refinement_pools
-from repro.errors import RepartitionInfeasibleError
+from repro.core.quality import edge_cut
 from repro.graph.csr import CSRGraph
 from repro.lp.backends import get_backend_spec
 from repro.lp.parallel_simplex import parallel_simplex_solve
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult
 from repro.lp.revised import BasisCarrier
+from repro.obs import Tracer, get_tracer
 from repro.parallel.machine import CM5, MachineModel
-from repro.parallel.palgorithms import (
-    parallel_apply_flows,
-    parallel_assign_new,
-    parallel_layering,
-)
 from repro.parallel.runtime import DEFAULT_RECV_TIMEOUT, VirtualMachine
 
-__all__ = ["ParallelRepartitionResult", "igp_rank_program", "parallel_repartition"]
+__all__ = [
+    "ParallelRepartitionResult",
+    "igp_rank_program",
+    "parallel_apply_flows",
+    "parallel_repartition",
+]
 
 
 # Backends whose serial pivot sequence the column-distributed parallel
@@ -61,78 +75,161 @@ __all__ = ["ParallelRepartitionResult", "igp_rank_program", "parallel_repartitio
 # serial and parallel drivers could land on different alternate optima.
 _TABLEAU_BACKENDS = frozenset({"dense_simplex", "tableau"})
 
+# Ranks other than 0 time their phases without recording them.
+_SILENT = Tracer(enabled=False)
 
-def _solve_stage_lp(
-    comm, lp: LinearProgram, config: IGPConfig, carrier: BasisCarrier
-) -> LPResult:
-    """Solve one pipeline LP under the configured backend, SPMD-safe.
 
-    * The tableau backends keep the column-distributed dense simplex
-      (:func:`~repro.lp.parallel_simplex.parallel_simplex_solve`), whose
-      pivot sequence is identical to the serial tableau's.
-    * Every other backend runs **replicated**: each rank solves the same
-      LP with the same (deterministic) solver — warm-capable ones from
-      the same carried basis — so all ranks agree bit-for-bit, and each
-      rank's clock is charged the full replicated work.
+def parallel_apply_flows(
+    comm, part: np.ndarray, mover_lists: dict[tuple[int, int], np.ndarray]
+) -> np.ndarray:
+    """Exchange and apply mover selections (each rank selected for its
+    owned source partitions); returns the updated replicated vector."""
+    size = comm.size
+    # Ship mover ids to destination-partition owners; also allgather so
+    # replicas stay consistent (an owner must know its incoming vertices,
+    # every replica must know the final vector).
+    out: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(size)]
+    for (i, j), verts in mover_lists.items():
+        out[j % size].append((j, verts))
+    comm.alltoall(out)
+    merged = comm.allgather(list(mover_lists.items()))
+    new_part = np.asarray(part, dtype=np.int64).copy()
+    moved = 0
+    for items in merged:
+        for (i, j), verts in items:
+            new_part[verts] = j
+            moved += len(verts)
+    comm.compute(moved)
+    return new_part
 
-    Either way the serial driver makes the same solver decisions for the
-    same ``lp_backend``, which is what keeps the serial/parallel
-    partition vectors equal under every backend.
+
+class _RankView:
+    """One rank's view of the replicated graph.
+
+    Delegates the graph-view surface (``rows``, ``ensure_boundary``,
+    ``set_boundary``, ``note_moves``) and every attribute to the
+    :class:`~repro.graph.csr.CSRGraph`, and charges ``comm.compute`` one
+    unit per arc of the rows this rank owns.  Ownership follows the
+    partition vector last passed to ``ensure_boundary`` (the carried
+    vector until then, whose unassigned vertices are owned by id).
     """
-    spec = get_backend_spec(config.lp_backend)
-    if spec.name in _TABLEAU_BACKENDS:
-        return parallel_simplex_solve(comm, lp)
-    if spec.supports_warm_start:
-        result = spec.solve_warm(lp, carrier.basis)
-        carrier.update_from(result)
-        stats = result.extra.get("stats")
-        if stats is not None:
-            m, n = stats.rows, stats.cols
-            comm.compute(
-                stats.total_iterations * (2 * m * m + m * n)
-                + stats.refactorizations * m ** 3
+
+    def __init__(self, graph: CSRGraph, comm, part: np.ndarray):
+        self._graph = graph
+        self._comm = comm
+        self._degree = np.diff(graph.xadj)
+        self._own(part)
+
+    def __getattr__(self, name: str):
+        return getattr(self._graph, name)
+
+    def _own(self, part: np.ndarray) -> None:
+        owner = np.where(part >= 0, part, np.arange(len(part)))
+        self._mine = owner % self._comm.size == self._comm.rank
+
+    def rows(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        verts = np.asarray(vertices, dtype=np.int64)
+        self._comm.compute(int(self._degree[verts[self._mine[verts]]].sum()))
+        return self._graph.rows(verts)
+
+    def ensure_boundary(self, part: np.ndarray) -> np.ndarray:
+        self._own(part)
+        return self._graph.ensure_boundary(part)
+
+
+class _RankOps(PhaseOps):
+    """The SPMD forms of the :class:`~repro.core.ops.PhaseOps` operations."""
+
+    def __init__(self, comm, config: IGPConfig):
+        super().__init__(config.num_partitions, config.lp_backend)
+        self.comm = comm
+
+    def tracer(self) -> Tracer:
+        return get_tracer() if self.comm.rank == 0 else _SILENT
+
+    def solve(self, lp: LinearProgram, carrier: BasisCarrier | None) -> LPResult:
+        """Column-distributed for the tableau backends, else replicated:
+        each rank solves the same LP with the same deterministic solver
+        from the same carried basis and is charged the full work."""
+        spec = get_backend_spec(self.lp_backend)
+        if spec.name in _TABLEAU_BACKENDS:
+            return parallel_simplex_solve(self.comm, lp)
+        result = super().solve(lp, carrier)
+        if spec.supports_warm_start:
+            stats = result.extra.get("stats")
+            if stats is not None:
+                m, n = stats.rows, stats.cols
+                self.comm.compute(
+                    stats.total_iterations * (2 * m * m + m * n)
+                    + stats.refactorizations * m ** 3
+                )
+        else:
+            # Generic estimate: iterations over the dense matrix.
+            self.comm.compute(
+                max(result.iterations, 1)
+                * max(lp.num_constraints, 1)
+                * max(lp.num_variables, 1)
             )
         return result
-    result = spec.solve(lp)
-    # Generic replicated-cost estimate: iterations over the dense matrix.
-    comm.compute(
-        max(result.iterations, 1)
-        * max(lp.num_constraints, 1)
-        * max(lp.num_variables, 1)
-    )
-    return result
+
+    def loads(self, graph, part: np.ndarray) -> np.ndarray:
+        """Each rank bins its own partitions' vertices; every bin has a
+        single contributor, so the summed vector is the serial one."""
+        mine = part % self.comm.size == self.comm.rank
+        self.comm.compute(int(mine.sum()))
+        local = np.bincount(
+            part[mine], weights=graph.vweights[mine], minlength=self.num_partitions
+        )
+        return self.comm.allreduce(local)
+
+    def move(
+        self, graph, part: np.ndarray, movers: dict[tuple[int, int], np.ndarray]
+    ) -> np.ndarray:
+        """Each rank selected the movers out of its own partitions; the
+        exchange gives every rank the whole selection."""
+        size, rank = self.comm.size, self.comm.rank
+        owned = {pair: v for pair, v in movers.items() if pair[0] % size == rank}
+        self.comm.compute(sum(len(v) for v in owned.values()))
+        new_part = parallel_apply_flows(self.comm, part, owned)
+        if movers:
+            graph.note_moves(np.concatenate(list(movers.values())))
+        return new_part
+
+    def cut(self, graph, part: np.ndarray) -> float:
+        """The view charges this rank's rows; the allreduce is the
+        combine a distributed-memory run needs.  Every rank summed the
+        same replicated arcs in the serial order, so ``max`` returns that
+        sum unchanged (a ``+`` over per-rank partials would round
+        differently from the serial cut)."""
+        return self.comm.allreduce(edge_cut(graph, part), op=max)
+
+
+class _RankPartitioner(IncrementalGraphPartitioner):
+    def __init__(self, comm, config: IGPConfig):
+        super().__init__(config)
+        self._ops = _RankOps(comm, config)
 
 
 @dataclass
 class ParallelRepartitionResult:
-    """Partition plus simulated-machine accounting."""
+    """The serial driver's result plus simulated-machine accounting."""
 
-    part: np.ndarray
-    num_stages: int
+    result: RepartitionResult  # stage records, refine stats, quality
     elapsed: float  # simulated seconds (Time-p for 32 ranks)
     rank_times: list[float]
     messages: int
     bytes_sent: int
     extra: dict = field(default_factory=dict)
 
+    @property
+    def part(self) -> np.ndarray:
+        """The final partition vector."""
+        return self.result.part
 
-def _distributed_loads(comm, part: np.ndarray, vweights: np.ndarray, p: int) -> np.ndarray:
-    """Per-partition loads: local bincount over owned vertices + allreduce."""
-    size, rank = comm.size, comm.rank
-    mine = (part % size) == rank
-    comm.compute(int(mine.sum()))
-    local = np.bincount(part[mine], weights=vweights[mine], minlength=p)
-    return comm.allreduce(local)
-
-
-def _owned_moves(moves: np.ndarray, size: int, rank: int) -> dict[tuple[int, int], float]:
-    """Flows whose source partition this rank owns."""
-    out: dict[tuple[int, int], float] = {}
-    ii, jj = np.nonzero(moves > 1e-9)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        if i % size == rank:
-            out[(i, j)] = float(moves[i, j])
-    return out
+    @property
+    def num_stages(self) -> int:
+        """Balance stages performed."""
+        return self.result.num_stages
 
 
 def igp_rank_program(
@@ -141,160 +238,20 @@ def igp_rank_program(
     carried_part: np.ndarray,
     config: IGPConfig,
     initial_bases: tuple | None = None,
-) -> tuple[np.ndarray, int, tuple]:
-    """The SPMD program each rank executes.
+) -> tuple[RepartitionResult, tuple]:
+    """The SPMD program each rank executes: the serial driver over this
+    rank's view of ``graph``.
 
-    Returns ``(part, stages, (balance_basis, refine_basis))``; the final
-    bases let a caller chaining incremental steps thread warm starts into
-    the next :func:`parallel_repartition` call, mirroring the serial
-    partitioner's persistent carriers.
+    Returns ``(result, (balance_basis, refine_basis))``; the final bases
+    let a caller chaining incremental steps thread warm starts into the
+    next :func:`parallel_repartition` call, as the serial partitioner's
+    persistent carriers do.
     """
-    p = config.num_partitions
-    size, rank = comm.size, comm.rank
-
-    part = parallel_assign_new(comm, graph, carried_part, p)
-
-    integral = bool(np.allclose(graph.vweights, np.round(graph.vweights)))
-    lam = graph.total_vertex_weight / p
-    # Mirrors IncrementalGraphPartitioner's granularity-aware target.
-    w_max = float(graph.vweights.max()) if graph.num_vertices else 1.0
-    if integral:
-        balanced_max = float(np.ceil(lam - 1e-9)) + max(w_max - 1.0, 0.0)
-    else:
-        balanced_max = lam * (1 + 1e-9) + w_max
-
-    exact_target = float(np.ceil(lam - 1e-9)) if integral else lam
-
-    def excess_of(loads_vec: np.ndarray) -> float:
-        return float(np.maximum(loads_vec - exact_target, 0.0).sum())
-
-    # Per-rank warm-start carriers: every rank carries the identical basis
-    # sequence (deterministic solver, replicated data).  Seeding them from
-    # ``initial_bases`` reproduces a serial partitioner that was reused
-    # across repartition calls.
-    init_balance, init_refine = initial_bases or (None, None)
-    balance_carrier = BasisCarrier(init_balance)
-    refine_carrier = BasisCarrier(init_refine)
-
-    stages = 0
-    for _ in range(config.max_stages):
-        loads = _distributed_loads(comm, part, graph.vweights, p)
-        max_load = float(loads.max())
-        if max_load <= balanced_max + 1e-9:
-            break
-
-        layering = parallel_layering(comm, graph, part, p, loads=loads)
-
-        def plain(target: float) -> BalanceSolution:
-            bal = build_balance_lp(layering.delta, loads, target=float(target))
-            result = _solve_stage_lp(comm, bal.lp, config, balance_carrier)
-            return BalanceSolution(
-                moves=extract_moves(bal, result, p), result=result, balance_lp=bal
-            )
-
-        def relaxed(target: float) -> BalanceSolution:
-            bal = build_relaxed_balance_lp(layering.delta, loads, float(target))
-            result = _solve_stage_lp(comm, bal.lp, config, balance_carrier)
-            return BalanceSolution(
-                moves=extract_moves(bal, result, p), result=result, balance_lp=bal
-            )
-
-        stage = solve_stage(plain, relaxed, lam, integral, carrier=balance_carrier)
-        if stage is None:
-            raise RepartitionInfeasibleError(
-                "balance LP infeasible and the relaxation cannot move anything",
-                gamma_tried=config.gamma_cap,
-            )
-        solution_moves = stage[0].moves
-
-        # Each rank selects movers for its owned source partitions only.
-        local_moves = np.zeros_like(solution_moves)
-        for (i, j), amount in _owned_moves(solution_moves, size, rank).items():
-            local_moves[i, j] = amount
-        movers = select_movers(graph, part, layering, local_moves)
-        comm.compute(sum(len(v) for v in movers.values()))
-        part = parallel_apply_flows(comm, graph, part, movers)
-        stages += 1
-
-        # Mirror of the serial driver's progress / gamma-cap checks.
-        new_loads = _distributed_loads(comm, part, graph.vweights, p)
-        if not np.isfinite(stage[1]):
-            gamma_eff = float(new_loads.max()) / lam
-            if gamma_eff > config.gamma_cap + 1e-9:
-                raise RepartitionInfeasibleError(
-                    f"imbalance after relaxed stage ({gamma_eff:.2f}) "
-                    f"exceeds the cap C={config.gamma_cap}",
-                    gamma_tried=gamma_eff,
-                )
-        if excess_of(new_loads) >= excess_of(loads) - 1e-9:
-            raise RepartitionInfeasibleError(
-                "balance stage made no progress", gamma_tried=config.gamma_cap
-            )
-
-    if config.refine:
-        part = _parallel_refine(comm, graph, part, config, refine_carrier)
-
-    return part, stages, (balance_carrier.basis, refine_carrier.basis)
-
-
-def _parallel_refine(
-    comm,
-    graph: CSRGraph,
-    part: np.ndarray,
-    config: IGPConfig,
-    refine_carrier: BasisCarrier,
-) -> np.ndarray:
-    """Distributed mirror of :func:`repro.core.refine.refine_partition`."""
-    p = config.num_partitions
-    size, rank = comm.size, comm.rank
-
-    def dist_cut(vec: np.ndarray) -> float:
-        src = graph.arc_sources()
-        mine = (vec[src] % size) == rank
-        cross = mine & (vec[src] != vec[graph.adj])
-        comm.compute(int(mine.sum()))
-        local = float(graph.eweights[cross].sum())
-        return comm.allreduce(local) / 2.0
-
-    current_cut = dist_cut(part)
-    forced_strict = False
-    for round_idx in range(config.refine_max_rounds):
-        strict = forced_strict or round_idx >= config.refine_strict_after
-        # Pools computed redundantly from replicated state; the clocks
-        # are charged for the owned share (owner-computes cost model).
-        pass_ = refinement_pools(graph, part, p, strict)
-        comm.compute(graph.num_arcs // max(size, 1))
-        if pass_.lp is None:
-            break
-        result = _solve_stage_lp(comm, pass_.lp, config, refine_carrier)
-        if not result.is_optimal or result.objective <= 1e-9:
-            break
-        x = np.clip(np.round(np.asarray(result.x)), 0, None)
-        movers: dict[tuple[int, int], np.ndarray] = {}
-        moved = 0
-        for k, (i, j) in enumerate(pass_.pairs):
-            count = int(x[k])
-            if count == 0 or i % size != rank:
-                continue
-            movers[(i, j)] = pass_.pools[(i, j)][:count]
-            moved += count
-        total_moved = comm.allreduce(moved)
-        if total_moved == 0:
-            break
-        candidate = parallel_apply_flows(comm, graph, part, movers)
-        new_cut = dist_cut(candidate)
-        if new_cut > current_cut + 1e-9:
-            # Mirror of the serial strict-retry-on-revert logic.
-            if not strict:
-                forced_strict = True
-                continue
-            break  # roll back: keep `part`
-        gain = current_cut - new_cut
-        part = candidate
-        current_cut = new_cut
-        if gain < config.refine_min_gain and strict:
-            break
-    return part
+    igp = _RankPartitioner(comm, config)
+    if initial_bases is not None:
+        igp.seed_warm_start(initial_bases)
+    result = igp.repartition(_RankView(graph, comm, carried_part), carried_part)
+    return result, igp.warm_bases
 
 
 def parallel_repartition(
@@ -328,16 +285,15 @@ def parallel_repartition(
     run = vm.run(
         igp_rank_program, graph, np.asarray(carried_part), config, initial_bases
     )
-    parts = [r[0] for r in run.results]
-    for other in parts[1:]:
-        if not np.array_equal(parts[0], other):
+    first, bases = run.results[0]
+    for other, _ in run.results[1:]:
+        if not np.array_equal(first.part, other.part):
             raise AssertionError("ranks disagree on the final partition")
     return ParallelRepartitionResult(
-        part=parts[0],
-        num_stages=run.results[0][1],
+        result=first,
         elapsed=run.elapsed,
         rank_times=run.rank_times,
         messages=run.messages,
         bytes_sent=run.bytes_sent,
-        extra={"final_bases": run.results[0][2]},
+        extra={"final_bases": bases},
     )

@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.assign import assign_new_vertices
-from repro.core.balance import solve_balance, solve_balance_relaxed, solve_stage
+from repro.core.balance import solve_stage
 from repro.core.layering import layer_partitions
-from repro.core.mover import apply_moves, select_movers
-from repro.core.quality import PartitionQuality, evaluate_partition, partition_weights
+from repro.core.mover import select_movers
+from repro.core.ops import PhaseOps
+from repro.core.quality import PartitionQuality, evaluate_partition
 from repro.core.refine import RefineStats, refine_partition
 from repro.errors import (
     APIUsageError,
@@ -41,7 +42,6 @@ from repro.errors import (
 from repro.graph.csr import CSRGraph
 from repro.lp.backends import get_backend_spec
 from repro.lp.revised import BasisCarrier
-from repro.obs import get_tracer
 
 __all__ = ["IGPConfig", "StageRecord", "RepartitionResult", "IncrementalGraphPartitioner"]
 
@@ -138,6 +138,9 @@ class IncrementalGraphPartitioner:
                 "pass either a config object or keyword overrides"
             )
         self.config = config
+        # The LP solve, loads, mover application, cut and span tracer:
+        # serial calls here, the SPMD rank program swaps in its own.
+        self._ops = PhaseOps(config.num_partitions, config.lp_backend)
         # Warm-start state: under a warm-capable backend ("revised") the
         # balance stages and refinement rounds deposit their final bases
         # here, and successive stages *and successive repartition() calls
@@ -183,7 +186,8 @@ class IncrementalGraphPartitioner:
         """
         cfg = self.config
         p = cfg.num_partitions
-        tracer = get_tracer()
+        ops = self._ops
+        tracer = ops.tracer()
         timings = {"assign": 0.0, "layering": 0.0, "lp": 0.0, "move": 0.0, "refine": 0.0}
 
         with tracer.span("lp.assign") as sp:
@@ -211,7 +215,7 @@ class IncrementalGraphPartitioner:
             return float(np.maximum(loads_vec - exact_target, 0.0).sum())
 
         for _ in range(cfg.max_stages):
-            loads = partition_weights(graph, part, p)
+            loads = ops.loads(graph, part)
             max_load = float(loads.max())
             if max_load <= balanced_max + 1e-9:
                 break  # already balanced
@@ -221,7 +225,11 @@ class IncrementalGraphPartitioner:
             timings["layering"] += sp.duration_s
 
             with tracer.span("lp.balance") as sp:
-                stage = self._solve_stage(layering.delta, loads)
+                stage = solve_stage(
+                    layering.delta,
+                    loads,
+                    lambda lp: ops.solve(lp, self._balance_carrier),
+                )
                 if stage is not None:
                     sp.set("pivots", int(stage[0].result.iterations))
             timings["lp"] += sp.duration_s
@@ -236,12 +244,10 @@ class IncrementalGraphPartitioner:
 
             with tracer.span("lp.move") as sp:
                 movers = select_movers(graph, part, layering, solution.moves)
-                part = apply_moves(part, movers)
-                if movers:
-                    graph.note_moves(np.concatenate(list(movers.values())))
+                part = ops.move(graph, part, movers)
             timings["move"] += sp.duration_s
 
-            new_loads = partition_weights(graph, part, p)
+            new_loads = ops.loads(graph, part)
             if not np.isfinite(gamma):
                 gamma = float(new_loads.max()) / lam  # relaxed stage
                 if gamma > cfg.gamma_cap + 1e-9:
@@ -268,7 +274,7 @@ class IncrementalGraphPartitioner:
                 )
             )
         else:
-            loads = partition_weights(graph, part, p)
+            loads = ops.loads(graph, part)
             if float(loads.max()) > balanced_max + 1e-9:
                 raise RepartitionInfeasibleError(
                     f"balance not reached within {cfg.max_stages} stages",
@@ -284,8 +290,8 @@ class IncrementalGraphPartitioner:
                     max_rounds=cfg.refine_max_rounds,
                     strict_after=cfg.refine_strict_after,
                     min_gain=cfg.refine_min_gain,
-                    lp_backend=cfg.lp_backend,
                     carrier=self._refine_carrier,
+                    ops=ops,
                 )
                 sp.set("pivots", int(refine_stats.lp_iterations))
                 sp.set("rounds", int(refine_stats.rounds))
@@ -295,38 +301,3 @@ class IncrementalGraphPartitioner:
         result.part = part
         result.quality_final = evaluate_partition(graph, part, p)
         return result
-
-    # ------------------------------------------------------------------
-    def _solve_stage(self, delta, loads):
-        """One balance stage: exact LP, then max-progress relaxation.
-
-        See :func:`repro.core.balance.solve_stage` — the exact eq. 10–12
-        LP is tried first (the common case and the one the paper's LP-
-        size analysis describes); if it is infeasible, the excess-
-        minimising relaxation extracts the maximal progress the current
-        δ capacities allow, realising §2.3's multi-stage fallback.
-        """
-        cfg = self.config
-        integral = bool(np.allclose(loads, np.round(loads)))
-        lam = float(np.sum(loads)) / len(loads)
-        carrier = self._balance_carrier
-
-        def plain(target):
-            return solve_balance(
-                delta,
-                loads,
-                target=float(target),
-                lp_backend=cfg.lp_backend,
-                basis=carrier.basis,
-            )
-
-        def relaxed(target):
-            return solve_balance_relaxed(
-                delta,
-                loads,
-                float(target),
-                lp_backend=cfg.lp_backend,
-                basis=carrier.basis,
-            )
-
-        return solve_stage(plain, relaxed, lam, integral, carrier=carrier)

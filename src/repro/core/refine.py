@@ -33,10 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.quality import edge_cut
-from repro.lp.backends import solve_with_backend
+from repro.core.ops import PhaseOps
 from repro.lp.problem import LinearProgram
-from repro.lp.result import LPResult
 from repro.lp.revised import BasisCarrier
 
 __all__ = [
@@ -180,8 +178,8 @@ def refine_partition(
     max_rounds: int = 8,
     strict_after: int = 2,
     min_gain: float = 0.5,
-    lp_backend: str = "tableau",
     carrier: BasisCarrier | None = None,
+    ops: PhaseOps | None = None,
 ) -> tuple[np.ndarray, RefineStats]:
     """Iterated LP refinement; returns ``(new_part, stats)``.
 
@@ -199,9 +197,16 @@ def refine_partition(
     its row structure (one flow-conservation row per partition), so the
     previous round's basis usually prices out in a handful of pivots
     under ``lp_backend="revised"``.
+
+    ``ops`` supplies the LP solve (and with it the LP backend), the
+    mover application and the cut: the serial
+    :class:`~repro.core.ops.PhaseOps` under ``"tableau"`` by default;
+    an SPMD rank passes its own.
     """
+    if ops is None:
+        ops = PhaseOps(num_partitions, "tableau")
     part = np.asarray(part, dtype=np.int64).copy()
-    stats = RefineStats(cut_before=edge_cut(graph, part))
+    stats = RefineStats(cut_before=ops.cut(graph, part))
     current_cut = stats.cut_before
     forced_strict = False
 
@@ -210,33 +215,23 @@ def refine_partition(
         pass_ = refinement_pools(graph, part, num_partitions, strict)
         if pass_.lp is None:
             break
-        result: LPResult = solve_with_backend(
-            lp_backend, pass_.lp, carrier.basis if carrier is not None else None
-        )
-        if carrier is not None:
-            carrier.update_from(result)
+        result = ops.solve(pass_.lp, carrier)
         stats.lp_iterations += result.iterations
         if not result.is_optimal or result.objective <= 1e-9:
             break
 
         # Realise the circulation: flows are integral (TU matrix), pools
         # are disjoint, so exact counts always exist.
-        candidate = part.copy()
-        moved_ids: list[np.ndarray] = []
+        movers: dict[tuple[int, int], np.ndarray] = {}
         x = np.clip(np.round(np.asarray(result.x)), 0, None)
-        for k, (i, j) in enumerate(pass_.pairs):
+        for k, pair in enumerate(pass_.pairs):
             count = int(x[k])
-            if count == 0:
-                continue
-            movers = pass_.pools[(i, j)][:count]
-            candidate[movers] = j
-            moved_ids.append(movers)
-        if not moved_ids:
+            if count:
+                movers[pair] = pass_.pools[pair][:count]
+        if not movers:
             break
-        moved = np.concatenate(moved_ids)
-        # Movers and their neighbours may have become boundary vertices.
-        graph.note_moves(moved)
-        new_cut = edge_cut(graph, candidate)
+        candidate = ops.move(graph, part, movers)
+        new_cut = ops.cut(graph, candidate)
         if new_cut > current_cut + 1e-9:
             # Batch interactions made the snapshot gains lie.  Zero-gain
             # shuttling is the usual culprit: retry in strict mode once
@@ -249,7 +244,7 @@ def refine_partition(
         stats.reverted_last_round = False
         part = candidate
         stats.rounds += 1
-        stats.vertices_moved += len(moved)
+        stats.vertices_moved += sum(len(v) for v in movers.values())
         gain = current_cut - new_cut
         current_cut = new_cut
         if gain < min_gain and strict:

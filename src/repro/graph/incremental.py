@@ -466,7 +466,11 @@ class DeltaComposer:
         self._add_w: list[float] = []
         self._add_coords: list[np.ndarray | None] = []
         self._deleted_old: set[int] = set()
-        self._added_edges: dict[tuple[int, int], float] = {}
+        # Added edge -> its added weights in fold order.  An accumulated
+        # edge keeps one entry per addition, so applying the composed
+        # delta sums them in the order the chain did (a pre-summed
+        # weight rounds differently).
+        self._added_edges: dict[tuple[int, int], list[float]] = {}
         self._deleted_orig: set[tuple[int, int]] = set()
         self._alive_added_weight = 0.0
         self._deleted_old_weight = 0.0
@@ -607,9 +611,9 @@ class DeltaComposer:
                         f"existing edge at its step of the chain (pass "
                         f"accumulate_weights=True to sum the weights)"
                     )
-                self._added_edges[k] = self._added_edges.get(k, 0.0) + float(w)
+                self._added_edges.setdefault(k, []).append(float(w))
             else:
-                self._added_edges[k] = float(w)
+                self._added_edges[k] = [float(w)]
 
         # --- renumber into the next frame -------------------------------
         # One mask drops the deleted vertices; the additions append into
@@ -645,7 +649,10 @@ class DeltaComposer:
         def final_id(enc: int) -> int:
             return enc if enc < n_old else remap[enc]
 
-        edge_items = sorted(self._added_edges.items())
+        # An accumulated edge is listed once per addition, in fold order.
+        edge_items = [
+            (k, w) for k, ws in sorted(self._added_edges.items()) for w in ws
+        ]
         comp_edges = np.array(
             [(final_id(a), final_id(b)) for (a, b), _ in edge_items],
             dtype=np.int64,
@@ -718,6 +725,10 @@ def compose_deltas(
     ``strict`` / ``accumulate_weights`` carry the same meaning as in
     :func:`apply_delta`, enforced per chain step (so the composed delta is
     exactly as valid as the sequential application would have been).
+    Under ``accumulate_weights=True`` an edge added more than once is
+    listed once per addition, in chain order, so applying the composed
+    delta (with ``accumulate_weights=True`` too) sums the weights in the
+    order the chain did, bit for bit.
     """
     composer = DeltaComposer(
         graph, strict=strict, accumulate_weights=accumulate_weights

@@ -63,6 +63,25 @@ class TestHarness:
         assert curve[0]["speedup"] == 1.0
         assert all(c["sim_time"] > 0 for c in curve)
 
+    def test_parallel_check_compares_stage_records(self):
+        """The figure harnesses reject an SPMD run whose stage records
+        differ from the serial ones even when the partitions agree."""
+        from repro.bench.harness import _check_parallel
+        from repro.core.parallel_igp import ParallelRepartitionResult
+        from repro.core.partitioner import RepartitionResult, StageRecord
+
+        part = np.array([0, 1])
+        stage = StageRecord(1.0, 1.0, 2, 2, 3, 2.0, 1.0)
+        res = RepartitionResult(part=part, stages=[stage])
+        par = ParallelRepartitionResult(
+            result=RepartitionResult(part=part.copy(), stages=[stage]),
+            elapsed=0.0, rank_times=[0.0], messages=0, bytes_sent=0,
+        )
+        _check_parallel(par, res)
+        par.result.stages = [StageRecord(1.0, 1.0, 2, 2, 4, 2.0, 1.0)]
+        with pytest.raises(AssertionError, match="diverged"):
+            _check_parallel(par, res)
+
     def test_rsb_time_estimate_scales(self):
         seq = small_dataset_a(scale=0.2)
         t_small = estimate_rsb_cm5_time(seq.graphs[0], 4)

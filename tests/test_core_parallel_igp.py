@@ -1,80 +1,171 @@
-"""Parallel IGP must be bit-identical to serial, at every rank count."""
+"""Parallel IGP must be bit-identical to serial, at every rank count.
+
+Every rank runs the serial driver on its view of the replicated graph,
+so serial == SPMD holds by construction; these tests pin it, per
+backend, with and without refinement, at rank counts that do and do not
+divide P, on integral and fractional weights.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core import IGPConfig, IncrementalGraphPartitioner
-from repro.core.parallel_igp import parallel_repartition
+from repro.core.assign import assign_new_vertices
+from repro.core.layering import layer_partitions
+from repro.core.parallel_igp import _RankView, parallel_repartition
+from repro.graph import GraphDelta
 from repro.graph.incremental import apply_delta, carry_partition
 from repro.mesh import irregular_mesh, node_graph, refine_in_disc
+from repro.obs import get_tracer
 from repro.parallel import CM5, ZERO_COST
-from repro.parallel.palgorithms import (
-    owned_partitions,
-    parallel_assign_new,
-    parallel_layering,
-    rank_of_partition,
-)
 from repro.parallel.runtime import VirtualMachine
 from repro.spectral import rsb_partition
 
 
-@pytest.fixture(scope="module")
-def scenario():
+def _mesh_step(n_new=30, radius=0.14):
     mesh = irregular_mesh(350, seed=19)
     g0 = node_graph(mesh)
     base = rsb_partition(g0, 8, seed=0)
-    ref = refine_in_disc(mesh, (0.7, 0.3), 0.14, 30)
+    ref = refine_in_disc(mesh, (0.7, 0.3), radius, n_new)
     inc = apply_delta(g0, ref.delta)
-    carried = carry_partition(base, inc)
-    return inc.graph, carried
+    return inc.graph, carry_partition(base, inc)
+
+
+def _fractional(graph, carried):
+    """Vertex and edge weights ``k/97``: non-dyadic, so a summation
+    order that differs between serial and SPMD shows in the last bits."""
+    v = np.arange(graph.num_vertices)
+    src, dst = graph.arc_sources(), graph.adj
+    ek = ((src + dst) * 13 + (src * dst) % 89) % 97 + 1  # symmetric in (u, v)
+    g = graph.with_vertex_weights((97 + (v * 37) % 97) / 97.0)
+    return g.with_edge_weights(ek / 97.0), carried
+
+
+def _detached(graph, carried):
+    """Three new vertices with no path to the old graph: assignment's
+    clustering fallback has to place them."""
+    n = graph.num_vertices
+    step = apply_delta(
+        graph, GraphDelta(num_added_vertices=3, added_edges=[(n, n + 1), (n + 1, n + 2)])
+    )
+    return step.graph, carry_partition(carried, step)
+
+
+SCENARIOS = {
+    "mesh": lambda: _mesh_step(),
+    "fractional": lambda: _fractional(*_mesh_step()),
+    "detached": lambda: _detached(*_mesh_step()),
+    # 120 new nodes in a small disc: a relaxed stage precedes the exact one.
+    "multistage": lambda: _mesh_step(n_new=120, radius=0.1),
+}
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return SCENARIOS["mesh"]()
+
+
+@pytest.fixture(scope="module", params=sorted(SCENARIOS))
+def any_scenario(request):
+    return SCENARIOS[request.param]()
+
+
+class _Tally:
+    """The slice of a communicator the rank view uses."""
+
+    def __init__(self, size, rank):
+        self.size, self.rank, self.work = size, rank, 0
+
+    def compute(self, units):
+        self.work += units
+
+
+def _on_view(comm, phase, graph, part, *args):
+    return phase(_RankView(graph, comm, part), part, *args)
 
 
 class TestOwnership:
-    def test_round_robin(self):
-        assert rank_of_partition(5, 4) == 1
-        assert owned_partitions(8, 4, 1).tolist() == [1, 5]
-        assert owned_partitions(8, 1, 0).tolist() == list(range(8))
+    def test_round_robin(self, scenario):
+        """Partition q lives on rank q mod size, an unassigned vertex on
+        rank id mod size, and each rank is charged the arcs of exactly
+        the rows it owns."""
+        graph, carried = scenario
+        degree = np.diff(graph.xadj)
+        new = np.flatnonzero(carried < 0)
+        part = assign_new_vertices(graph, carried, 8)
+        charged = 0
+        for rank in range(3):
+            comm = _Tally(3, rank)
+            view = _RankView(graph, comm, carried)
+            view.rows(new)
+            assert comm.work == degree[new[new % 3 == rank]].sum()
+            comm.work = 0
+            view.rows(view.ensure_boundary(part))
+            assert comm.work == degree[part % 3 == rank].sum()
+            charged += comm.work
+        assert charged == degree.sum()  # each arc is charged to one rank
 
 
 class TestDistributedSteps:
+    """The serial phase functions run unchanged on each rank's view."""
+
     @pytest.mark.parametrize("ranks", [1, 2, 4])
     def test_assign_matches_serial(self, scenario, ranks):
-        from repro.core.assign import assign_new_vertices
-
         graph, carried = scenario
         serial = assign_new_vertices(graph, carried, 8)
-        vm = VirtualMachine(ranks, machine=ZERO_COST, recv_timeout=30)
-        run = vm.run(parallel_assign_new, graph, carried, 8)
+        vm = VirtualMachine(ranks, machine=CM5, recv_timeout=30)
+        run = vm.run(_on_view, assign_new_vertices, graph, carried, 8)
         for out in run.results:
             assert np.array_equal(out, serial)
+        assert all(t > 0 for t in run.rank_times)  # each rank read rows
+        assert run.messages == 0
 
     @pytest.mark.parametrize("ranks", [1, 2, 4])
     def test_layering_matches_serial(self, scenario, ranks):
-        from repro.core.assign import assign_new_vertices
-        from repro.core.layering import layer_partitions
-
         graph, carried = scenario
         part = assign_new_vertices(graph, carried, 8)
         serial = layer_partitions(graph, part, 8)
         vm = VirtualMachine(ranks, machine=ZERO_COST, recv_timeout=30)
-        run = vm.run(parallel_layering, graph, part, 8)
+        run = vm.run(_on_view, layer_partitions, graph, part, 8)
         for lay in run.results:
             assert np.array_equal(lay.label, serial.label)
             assert np.array_equal(lay.layer, serial.layer)
-            assert np.allclose(lay.delta, serial.delta)
+            assert np.array_equal(lay.delta, serial.delta)
 
 
 class TestFullPipeline:
-    @pytest.mark.parametrize("ranks", [1, 2, 4, 8])
-    def test_identical_to_serial(self, scenario, ranks):
-        graph, carried = scenario
-        cfg = IGPConfig(num_partitions=8, refine=True)
+    @pytest.mark.parametrize("ranks", [1, 3, 8])  # 3 does not divide P = 8
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("backend", ["tableau", "revised"])
+    def test_identical_to_serial(self, any_scenario, backend, refine, ranks):
+        graph, carried = any_scenario
+        cfg = IGPConfig(num_partitions=8, refine=refine, lp_backend=backend)
         serial = IncrementalGraphPartitioner(cfg).repartition(graph, carried.copy())
         par = parallel_repartition(
             graph, carried.copy(), cfg, num_ranks=ranks, machine=CM5
         )
         assert np.array_equal(par.part, serial.part)
         assert par.num_stages == serial.num_stages
+        assert par.result.stages == serial.stages
+        assert par.result.refine_stats == serial.refine_stats
+
+    def test_rank_zero_alone_records_spans(self, scenario):
+        graph, carried = scenario
+        tracer = get_tracer()
+        tracer.clear()
+        tracer.configure(enabled=True)
+        try:
+            parallel_repartition(
+                graph, carried.copy(), IGPConfig(num_partitions=8, refine=True),
+                num_ranks=3,
+            )
+            spans = tracer.finished()
+        finally:
+            tracer.configure(enabled=False)
+            tracer.clear()
+        names = [sp.name for sp in spans]
+        assert names.count("lp.assign") == names.count("lp.refine") == 1
+        assert len({sp.tid for sp in spans}) == 1
 
     def test_simulated_speedup_positive(self, scenario):
         graph, carried = scenario

@@ -193,6 +193,20 @@ class TestComposeValidation:
         g_seq, _ = apply_chain(base, ds, accumulate_weights=True)
         assert g_seq.same_structure(g)
 
+    def test_accumulated_weights_sum_in_chain_order(self):
+        """(0.1 + 0.7) + 0.3 is 1.0999999999999999; pre-summing the added
+        weights would give 0.1 + 1.0 = 1.1."""
+        path = CSRGraph.from_edges(3, [(0, 1), (1, 2)], eweights=[0.1, 1.0])
+        ds = [
+            GraphDelta(added_edges=[(0, 1)], added_eweights=[0.7]),
+            GraphDelta(added_edges=[(1, 0)], added_eweights=[0.3]),
+        ]
+        c = compose_deltas(path, ds, accumulate_weights=True)
+        assert c.added_edges.tolist() == [[0, 1], [0, 1]]
+        g = apply_delta(path, c, accumulate_weights=True).graph
+        g_seq, _ = apply_chain(path, ds, accumulate_weights=True)
+        assert g.edge_weight(0, 1) == g_seq.edge_weight(0, 1) == (0.1 + 0.7) + 0.3
+
     def test_accumulated_edge_deleted_entirely(self, base):
         """Deleting a previously-accumulated edge kills both the original
         and the added share, matching sequential merge semantics."""
@@ -225,13 +239,13 @@ SHARED_ERRORS = {
 }
 
 
-def fold_error(cur, delta):
+def fold_error(cur, delta, accumulate_weights=False):
     """The message ``compose_deltas`` raises at the step where a chain's
     sequential application stops with a ``GraphError``: the checks
     ``apply_delta`` shares come first, then missing deletions in delta
     order, then each added edge in delta order."""
     try:
-        apply_delta(cur, delta)
+        apply_delta(cur, delta, accumulate_weights=accumulate_weights)
     except GraphError as err:
         if str(err) in SHARED_ERRORS:
             return str(err)
@@ -250,7 +264,10 @@ def fold_error(cur, delta):
         if u == v:
             return "self-loops are not allowed"
         key = (min(u, v), max(u, v))
-        if key in seen or (key not in gone and key[1] < n and cur.has_edge(u, v)):
+        duplicate = key in seen or (
+            key not in gone and key[1] < n and cur.has_edge(u, v)
+        )
+        if duplicate and not accumulate_weights:
             return (
                 f"added edge ({u}, {v}) duplicates an existing edge at its "
                 f"step of the chain (pass accumulate_weights=True to sum the "
@@ -265,7 +282,11 @@ def faulty_chain(draw):
     """A weighted base graph and a chain of deltas against it: vertex
     and edge deletions, re-adds of deleted edges, additions deleted
     again (cancellations) and, sometimes, one fault.  The chain stops
-    at the first delta that sequential application rejects."""
+    at the first delta that sequential application rejects.  Under
+    ``accumulate_weights`` the duplicate-edge faults are valid steps
+    that sum onto the existing edge, and steps add live edges again on
+    purpose."""
+    kwargs = {"accumulate_weights": draw(st.booleans())}
     n = draw(st.integers(4, 12))
     extra = draw(
         st.lists(
@@ -280,7 +301,7 @@ def faulty_chain(draw):
         n, edges, eweights=[draw(WEIGHTS) for _ in edges]
     )
     deltas = []
-    cur, recent, born = graph, [], []
+    cur, recent, born, again = graph, [], [], []
     for _ in range(draw(st.integers(1, 5))):
         m = cur.num_vertices
         if m < 2:
@@ -312,6 +333,13 @@ def faulty_chain(draw):
             added += draw(st.lists(st.sampled_from(fresh), max_size=2, unique=True))
         if readd and draw(st.booleans()):
             added.append(draw(st.sampled_from(readd)))
+        if kwargs["accumulate_weights"]:
+            # Sum onto a live edge, and again onto one the previous step
+            # added: an original edge then carries several added weights.
+            for pool in (live, again):
+                pool = [e for e in pool if e[0] not in dead and e[1] not in dead]
+                if pool and draw(st.booleans()):
+                    added.append(draw(st.sampled_from(pool)))
 
         fault = draw(st.integers(0, 19))  # 14..19 break one rule
         if fault == 14:
@@ -339,9 +367,9 @@ def faulty_chain(draw):
         )
         deltas.append(delta)
         try:
-            inc = apply_delta(cur, delta)
+            inc = apply_delta(cur, delta, **kwargs)
         except GraphError:
-            return graph, deltas, fold_error(cur, delta)
+            return graph, kwargs, deltas, fold_error(cur, delta, **kwargs)
         cur = inc.graph
         recent = [
             (min(a, b), max(a, b))
@@ -349,7 +377,9 @@ def faulty_chain(draw):
             if a >= 0 and b >= 0
         ]
         born = [int(v) for v in inc.new_vertex_ids]
-    return graph, deltas, None
+        ids = np.concatenate([inc.old_to_new, inc.new_vertex_ids])
+        again = [(int(a), int(b)) for a, b in ids[delta.added_edges]]
+    return graph, kwargs, deltas, None
 
 
 class TestComposeProperty:
@@ -359,15 +389,15 @@ class TestComposeProperty:
         """A valid chain composes to a delta whose application equals
         the sequential one bit for bit; a faulty chain raises at the
         faulty step with that step's message."""
-        graph, deltas, message = chain
+        graph, kwargs, deltas, message = chain
         if message is not None:
             with pytest.raises(GraphError) as raised:
-                compose_deltas(graph, deltas)
+                compose_deltas(graph, deltas, **kwargs)
             assert str(raised.value) == message
             return
         part = np.arange(graph.num_vertices) % 3
-        g_seq, p_seq = apply_chain(graph, deltas, part)
-        inc = apply_delta(graph, compose_deltas(graph, deltas))
+        g_seq, p_seq = apply_chain(graph, deltas, part, **kwargs)
+        inc = apply_delta(graph, compose_deltas(graph, deltas, **kwargs), **kwargs)
         assert g_seq.same_structure(inc.graph)
         assert g_seq.eweights.tobytes() == inc.graph.eweights.tobytes()
         assert g_seq.vweights.tobytes() == inc.graph.vweights.tobytes()
