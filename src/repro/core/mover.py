@@ -88,24 +88,17 @@ def apply_moves(
 ) -> np.ndarray:
     """Return a new partition vector with every selected vertex moved."""
     new_part = np.asarray(part, dtype=np.int64).copy()
-    if not movers:
-        return new_part
-    verts = np.concatenate(list(movers.values()))
-    uniq, counts = np.unique(verts, return_counts=True)
-    if len(uniq) < len(verts):
-        raise PartitioningError(
-            f"vertex {int(uniq[counts > 1][0])} selected for two different flows"
-        )
-    sizes = [len(v) for v in movers.values()]
-    src = np.repeat(np.fromiter((i for i, _ in movers), np.int64, len(movers)), sizes)
-    wrong = np.flatnonzero(new_part[verts] != src)
-    if len(wrong):
-        v = int(verts[wrong[0]])
-        raise PartitioningError(
-            f"vertex {v} expected in partition {int(src[wrong[0]])}, "
-            f"found {int(new_part[v])}"
-        )
-    new_part[verts] = np.repeat(
-        np.fromiter((j for _, j in movers), np.int64, len(movers)), sizes
-    )
+    seen: set[int] = set()
+    for (i, j), verts in movers.items():
+        for v in verts.tolist():
+            if v in seen:
+                raise PartitioningError(
+                    f"vertex {v} selected for two different flows"
+                )
+            seen.add(v)
+            if new_part[v] != i:
+                raise PartitioningError(
+                    f"vertex {v} expected in partition {i}, found {new_part[v]}"
+                )
+            new_part[v] = j
     return new_part

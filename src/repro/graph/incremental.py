@@ -470,7 +470,7 @@ class DeltaComposer:
         # edge keeps one entry per addition, so applying the composed
         # delta sums them in the order the chain did (a pre-summed
         # weight rounds differently).
-        self._added_edges: dict[tuple[int, int], list[float]] = {}
+        self._added_edges: dict[tuple[int, int], tuple[float, ...]] = {}
         self._deleted_orig: set[tuple[int, int]] = set()
         self._alive_added_weight = 0.0
         self._deleted_old_weight = 0.0
@@ -611,9 +611,9 @@ class DeltaComposer:
                         f"existing edge at its step of the chain (pass "
                         f"accumulate_weights=True to sum the weights)"
                     )
-                self._added_edges.setdefault(k, []).append(float(w))
+                self._added_edges[k] = self._added_edges.get(k, ()) + (float(w),)
             else:
-                self._added_edges[k] = [float(w)]
+                self._added_edges[k] = (float(w),)
 
         # --- renumber into the next frame -------------------------------
         # One mask drops the deleted vertices; the additions append into
