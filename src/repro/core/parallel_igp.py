@@ -205,6 +205,8 @@ class _RankOps(PhaseOps):
 
 
 class _RankPartitioner(IncrementalGraphPartitioner):
+    """The serial driver with this rank's operations."""
+
     def __init__(self, comm, config: IGPConfig):
         super().__init__(config)
         self._ops = _RankOps(comm, config)
