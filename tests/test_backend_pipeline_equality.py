@@ -1,10 +1,10 @@
 """Integration: the pipeline under lp_backend="tableau" vs "revised".
 
 The acceptance bar of the revised-simplex engine: both backends reach
-the same balance, the revised engine spends far fewer pivots, and
-warm-start carriers on a reused partitioner survive across repartition
-calls (serial == SPMD per backend is
-``test_core_parallel_igp.py::TestFullPipeline::test_identical_to_serial``).
+the same balance, the revised engine spends far fewer pivots, serial ==
+SPMD holds per backend at 4 ranks, and warm-start carriers on a reused
+partitioner survive across repartition calls (the wider serial == SPMD
+sweep is ``test_core_parallel_igp.py::TestFullPipeline::test_identical_to_serial``).
 """
 
 import numpy as np
@@ -29,6 +29,19 @@ def scenario():
 
 
 class TestBackendEquality:
+    @pytest.mark.parametrize("backend", ["tableau", "revised"])
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_parallel_identical_to_serial(self, scenario, backend, refine):
+        graph, carried = scenario
+        cfg = IGPConfig(num_partitions=8, refine=refine, lp_backend=backend)
+        serial = IncrementalGraphPartitioner(cfg).repartition(
+            graph, carried.copy()
+        )
+        par = parallel_repartition(graph, carried.copy(), cfg, num_ranks=4)
+        assert np.array_equal(par.part, serial.part)
+        assert par.num_stages == serial.num_stages
+        assert par.result.stages == serial.stages
+
     @pytest.mark.parametrize("refine", [False, True])
     def test_revised_reaches_same_balance_with_fewer_pivots(
         self, scenario, refine

@@ -65,9 +65,24 @@ def scenario():
     return SCENARIOS["mesh"]()
 
 
-@pytest.fixture(scope="module", params=sorted(SCENARIOS))
+@pytest.fixture(scope="module")
 def any_scenario(request):
     return SCENARIOS[request.param]()
+
+
+def _pipeline_cases():
+    """Every scenario x backend x refine at ranks 1, 3 and 8 (3 does not
+    divide P = 8), plus ranks 2 and 4 on the mesh with the default
+    backend and refinement, which keep their ids ``2`` and ``4``."""
+    cases = [
+        pytest.param(s, b, r, k, id=f"{s}-{b}-{r}-{k}")
+        for s in sorted(SCENARIOS)
+        for b in ("tableau", "revised")
+        for r in (False, True)
+        for k in (1, 3, 8)
+    ]
+    cases += [pytest.param("mesh", "tableau", True, k, id=str(k)) for k in (2, 4)]
+    return cases
 
 
 class _Tally:
@@ -134,9 +149,10 @@ class TestDistributedSteps:
 
 
 class TestFullPipeline:
-    @pytest.mark.parametrize("ranks", [1, 3, 8])  # 3 does not divide P = 8
-    @pytest.mark.parametrize("refine", [False, True])
-    @pytest.mark.parametrize("backend", ["tableau", "revised"])
+    @pytest.mark.parametrize(
+        "any_scenario, backend, refine, ranks", _pipeline_cases(),
+        indirect=["any_scenario"],
+    )
     def test_identical_to_serial(self, any_scenario, backend, refine, ranks):
         graph, carried = any_scenario
         cfg = IGPConfig(num_partitions=8, refine=refine, lp_backend=backend)
