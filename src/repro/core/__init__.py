@@ -17,9 +17,10 @@ Pipeline (paper Figure 1):
 whole pipeline (the paper's IGP; with ``refine=True`` it is IGPR).
 :mod:`repro.core.parallel_igp` runs that same driver on every rank of the
 virtual machine; the operations a rank does differently — the LP solve,
-the load and cut allreduces, the mover exchange — are the
-:class:`~repro.core.ops.PhaseOps` seam.  :mod:`repro.core.quality`
-computes the cutset/balance metrics the paper's tables report.
+the load and cut allreduces, the exchanges after assignment and layering
+and of the movers — are the :class:`~repro.core.ops.PhaseOps` seam.
+:mod:`repro.core.quality` computes the cutset/balance metrics the
+paper's tables report.
 """
 
 from repro.core.quality import (

@@ -87,18 +87,26 @@ def apply_moves(
     part: np.ndarray, movers: dict[tuple[int, int], np.ndarray]
 ) -> np.ndarray:
     """Return a new partition vector with every selected vertex moved."""
-    new_part = np.asarray(part, dtype=np.int64).copy()
-    seen: set[int] = set()
-    for (i, j), verts in movers.items():
-        for v in verts.tolist():
-            if v in seen:
-                raise PartitioningError(
-                    f"vertex {v} selected for two different flows"
-                )
-            seen.add(v)
-            if new_part[v] != i:
-                raise PartitioningError(
-                    f"vertex {v} expected in partition {i}, found {new_part[v]}"
-                )
-            new_part[v] = j
+    part = np.asarray(part, dtype=np.int64)
+    new_part = part.copy()
+    if not movers:
+        return new_part
+    verts = list(movers.values())
+    ids = np.concatenate(verts)
+    sizes = [len(v) for v in verts]
+    source = np.repeat(np.array([i for i, _ in movers], dtype=np.int64), sizes)
+    stray = part[ids] != source
+    if stray.any():
+        k = int(np.argmax(stray))
+        raise PartitioningError(
+            f"vertex {ids[k]} expected in partition {source[k]}, "
+            f"found {part[ids[k]]}"
+        )
+    ordered = np.sort(ids)
+    twice = ordered[1:] == ordered[:-1]
+    if twice.any():
+        raise PartitioningError(
+            f"vertex {int(ordered[1:][twice][0])} selected for two different flows"
+        )
+    new_part[ids] = np.repeat(np.array([j for _, j in movers], dtype=np.int64), sizes)
     return new_part

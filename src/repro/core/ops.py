@@ -1,22 +1,21 @@
 """The seam between the repartition phases and the machine they run on.
 
-The stage loop of :class:`~repro.core.partitioner
-.IncrementalGraphPartitioner` and the phase functions
-(:mod:`~repro.core.assign`, :mod:`~repro.core.layering`,
-:mod:`~repro.core.balance`, :mod:`~repro.core.mover`,
-:mod:`~repro.core.refine`) are one code path, serial and SPMD alike.
-What differs between a serial run and one rank of the SPMD program of
-:mod:`repro.core.parallel_igp` is only what :class:`PhaseOps` provides:
-the LP solve, the per-partition loads, applying movers, the edge cut and
-which tracer records the phase spans.  The serial defaults here are
-plain calls; the rank program overrides them with the column-distributed
-simplex, the load and cut allreduces and the mover exchange.
+The stage loop of :class:`~repro.core.partitioner.IncrementalGraphPartitioner`
+and the phase functions are one code path, serial and SPMD alike.  A
+serial run and one rank of :mod:`repro.core.parallel_igp` differ only in
+what :class:`PhaseOps` provides: assignment, layering, the LP solve, the
+per-partition loads, applying movers, the edge cut and the span tracer.
+The serial defaults here are plain calls; a rank adds the exchanges a
+distributed-memory run needs and swaps in the column-distributed simplex
+and the allreduces.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.assign import assign_new_vertices
+from repro.core.layering import LayeringResult, layer_partitions
 from repro.core.mover import apply_moves
 from repro.core.quality import edge_cut, partition_weights
 from repro.lp.backends import solve_with_backend
@@ -38,6 +37,14 @@ class PhaseOps:
     def tracer(self) -> Tracer:
         """The tracer that records the ``lp.*`` phase spans."""
         return get_tracer()
+
+    def assign(self, graph, part: np.ndarray) -> np.ndarray:
+        """Step 1: ``part`` with its ``-1`` entries resolved."""
+        return assign_new_vertices(graph, part, self.num_partitions)
+
+    def layer(self, graph, part: np.ndarray, loads: np.ndarray) -> LayeringResult:
+        """Step 2: the layering of ``part`` (ties toward light ``loads``)."""
+        return layer_partitions(graph, part, self.num_partitions, loads=loads)
 
     def solve(self, lp: LinearProgram, carrier: BasisCarrier | None) -> LPResult:
         """Solve one pipeline LP, warm from ``carrier`` and back into it."""

@@ -1,42 +1,35 @@
 """Parallel IGP/IGPR: the serial pipeline as an SPMD rank program.
 
-This is the configuration the paper actually timed: 32 partitions on a
-32-node CM-5.  Every rank runs
+This is the configuration the paper timed: 32 partitions on a 32-node
+CM-5.  Every rank runs
 :meth:`~repro.core.partitioner.IncrementalGraphPartitioner.repartition`
-— the same stage loop and the same assign, layering, balance, mover and
-refine functions as a serial run — on replicated data.  Only the
-operations of :class:`~repro.core.ops.PhaseOps` are SPMD:
+— the serial stage loop and phase functions — on replicated data.  Only
+the operations of :class:`~repro.core.ops.PhaseOps` are SPMD:
 
 * the LP solve: the column-distributed dense simplex
   (:mod:`repro.lp.parallel_simplex`) for the tableau backends, whose
   pivot sequence is the serial tableau's; every other backend solves
   replicated, each rank from the same carried basis;
 * the per-partition loads and the edge cut, combined by allreduce;
-* applying movers, by the owner exchange of :func:`parallel_apply_flows`.
+* the exchanges that keep the replicas equal: an allgather of the new
+  vertices' labels after assignment; the cross-arc halo before layering
+  and an allgather of the labels and layers after it; the owner exchange
+  of the movers.
 
-Ownership: partition ``q`` lives on rank ``q mod size``, and an
-unassigned new vertex on rank ``id mod size``.  The cost model is the
-rows that owned vertices read plus the named exchanges: each rank's
-graph view charges the simulated clock one work unit per arc of the
-owned rows a phase reads, the mover exchange charges the owned movers,
-and the LP solve charges its own pivots.
+Ownership: partition ``q`` lives on rank ``q mod size``, an unassigned
+new vertex on rank ``id mod size``.  The cost model is the rows that
+owned vertices read plus the named exchanges: each rank's graph view
+charges one work unit per arc of the owned rows a phase reads, the
+exchanges charge their messages and owned items, and the LP solve its
+pivots.  Only rank 0 records the ``lp.*`` spans.
 
-Determinism contract: :func:`parallel_repartition` returns *exactly* the
-partition vector, stage records and refinement statistics the serial
-:class:`~repro.core.partitioner.IncrementalGraphPartitioner` produces for
-the same inputs **and the same starting warm-start bases** — there is
-one code path, and every SPMD operation returns the serial value bit for
-bit.  A fresh serial partitioner matches a plain parallel call; a serial
-partitioner *reused* across repartition calls under
-``lp_backend="revised"`` carries bases between calls, so the matching
-parallel call must be seeded with ``initial_bases=igp.warm_bases``.
-
-Spans: every rank runs the driver, but only rank 0 records its ``lp.*``
-spans; the other ranks time their phases with a disabled tracer.
-
-Simulated timings: run under ``num_ranks=1`` for the paper's ``Time-s``
-(one CM-5 node) and ``num_ranks=32`` for ``Time-p``; both come from the
-same code path so the speedup is an honest algorithmic ratio.
+Determinism contract: there is one code path, and every SPMD operation
+returns the serial value bit for bit, so :func:`parallel_repartition`
+returns exactly the partition, stage records and refinement statistics
+of a serial run with the same starting warm-start bases (seed a call
+that must match a *reused* serial partitioner with
+``initial_bases=igp.warm_bases``).  ``num_ranks=1`` gives the paper's
+``Time-s`` (one CM-5 node), ``num_ranks=32`` its ``Time-p``.
 """
 
 from __future__ import annotations
@@ -45,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.layering import LayeringResult
 from repro.core.ops import PhaseOps
 from repro.core.partitioner import (
     IGPConfig,
@@ -65,7 +59,6 @@ from repro.parallel.runtime import DEFAULT_RECV_TIMEOUT, VirtualMachine
 __all__ = [
     "ParallelRepartitionResult",
     "igp_rank_program",
-    "parallel_apply_flows",
     "parallel_repartition",
 ]
 
@@ -77,30 +70,6 @@ _TABLEAU_BACKENDS = frozenset({"dense_simplex", "tableau"})
 
 # Ranks other than 0 time their phases without recording them.
 _SILENT = Tracer(enabled=False)
-
-
-def parallel_apply_flows(
-    comm, part: np.ndarray, mover_lists: dict[tuple[int, int], np.ndarray]
-) -> np.ndarray:
-    """Exchange and apply mover selections (each rank selected for its
-    owned source partitions); returns the updated replicated vector."""
-    size = comm.size
-    # Ship mover ids to destination-partition owners; also allgather so
-    # replicas stay consistent (an owner must know its incoming vertices,
-    # every replica must know the final vector).
-    out: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(size)]
-    for (i, j), verts in mover_lists.items():
-        out[j % size].append((j, verts))
-    comm.alltoall(out)
-    merged = comm.allgather(list(mover_lists.items()))
-    new_part = np.asarray(part, dtype=np.int64).copy()
-    moved = 0
-    for items in merged:
-        for (i, j), verts in items:
-            new_part[verts] = j
-            moved += len(verts)
-    comm.compute(moved)
-    return new_part
 
 
 class _RankView:
@@ -147,6 +116,36 @@ class _RankOps(PhaseOps):
     def tracer(self) -> Tracer:
         return get_tracer() if self.comm.rank == 0 else _SILENT
 
+    def assign(self, graph, part: np.ndarray) -> np.ndarray:
+        """The owner of each new vertex (by id) allgathers the label the
+        BFS gave it, so every replica holds the assigned vector."""
+        new_part = super().assign(graph, part)
+        size, rank = self.comm.size, self.comm.rank
+        fresh = np.flatnonzero(part < 0)
+        mine = fresh[fresh % size == rank]
+        self.comm.allgather((mine, new_part[mine]))
+        return new_part
+
+    def layer(self, graph, part: np.ndarray, loads: np.ndarray) -> LayeringResult:
+        """Each rank layers its own partitions.  Up front it ships the
+        partition of each owned cross-arc source to the owner of the arc's
+        far side (the halo a distributed graph has to fetch); afterwards
+        the labels and layers of its vertices are allgathered, from which
+        every rank bins ``δ``."""
+        size, rank = self.comm.size, self.comm.rank
+        src, dst = graph.arc_sources(), graph.adj
+        halo = (part[src] != part[dst]) & (part[src] % size == rank)
+        hsrc, dest = src[halo], part[dst[halo]] % size
+        by_dest = (hsrc[dest == r] for r in range(size))
+        self.comm.alltoall([(v, part[v]) for v in by_dest])
+        self.comm.compute(len(hsrc))
+        layering = super().layer(graph, part, loads)
+        labeled = layering.label >= 0
+        mine = np.flatnonzero(labeled & (part % size == rank))
+        self.comm.allgather((mine, layering.label[mine], layering.layer[mine]))
+        self.comm.compute(int(labeled.sum()))
+        return layering
+
     def solve(self, lp: LinearProgram, carrier: BasisCarrier | None) -> LPResult:
         """Column-distributed for the tableau backends, else replicated:
         each rank solves the same LP with the same deterministic solver
@@ -185,15 +184,18 @@ class _RankOps(PhaseOps):
     def move(
         self, graph, part: np.ndarray, movers: dict[tuple[int, int], np.ndarray]
     ) -> np.ndarray:
-        """Each rank selected the movers out of its own partitions; the
-        exchange gives every rank the whole selection."""
+        """Each rank selected the movers out of its own partitions: it
+        ships them to the destination partitions' owners and allgathers
+        them, then every rank applies the whole selection."""
         size, rank = self.comm.size, self.comm.rank
-        owned = {pair: v for pair, v in movers.items() if pair[0] % size == rank}
-        self.comm.compute(sum(len(v) for v in owned.values()))
-        new_part = parallel_apply_flows(self.comm, part, owned)
-        if movers:
-            graph.note_moves(np.concatenate(list(movers.values())))
-        return new_part
+        owned = [(pair, v) for pair, v in movers.items() if pair[0] % size == rank]
+        self.comm.compute(sum(len(v) for _, v in owned))
+        self.comm.alltoall(
+            [[(j, v) for (_, j), v in owned if j % size == r] for r in range(size)]
+        )
+        self.comm.allgather(owned)
+        self.comm.compute(sum(len(v) for v in movers.values()))
+        return super().move(graph, part, movers)
 
     def cut(self, graph, part: np.ndarray) -> float:
         """The view charges this rank's rows; the allreduce is the

@@ -27,9 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.assign import assign_new_vertices
 from repro.core.balance import solve_stage
-from repro.core.layering import layer_partitions
 from repro.core.mover import select_movers
 from repro.core.ops import PhaseOps
 from repro.core.quality import PartitionQuality, evaluate_partition
@@ -191,7 +189,7 @@ class IncrementalGraphPartitioner:
         timings = {"assign": 0.0, "layering": 0.0, "lp": 0.0, "move": 0.0, "refine": 0.0}
 
         with tracer.span("lp.assign") as sp:
-            part = assign_new_vertices(graph, part, p)
+            part = ops.assign(graph, part)
         timings["assign"] = sp.duration_s
 
         result = RepartitionResult(part=part, timings=timings)
@@ -221,7 +219,7 @@ class IncrementalGraphPartitioner:
                 break  # already balanced
 
             with tracer.span("lp.layer") as sp:
-                layering = layer_partitions(graph, part, p, loads=loads)
+                layering = ops.layer(graph, part, loads)
             timings["layering"] += sp.duration_s
 
             with tracer.span("lp.balance") as sp:

@@ -12,7 +12,8 @@ import pytest
 from repro.core import IGPConfig, IncrementalGraphPartitioner
 from repro.core.assign import assign_new_vertices
 from repro.core.layering import layer_partitions
-from repro.core.parallel_igp import _RankView, parallel_repartition
+from repro.core.parallel_igp import _RankOps, _RankView, parallel_repartition
+from repro.core.quality import partition_weights
 from repro.graph import GraphDelta
 from repro.graph.incremental import apply_delta, carry_partition
 from repro.mesh import irregular_mesh, node_graph, refine_in_disc
@@ -95,8 +96,9 @@ class _Tally:
         self.work += units
 
 
-def _on_view(comm, phase, graph, part, *args):
-    return phase(_RankView(graph, comm, part), part, *args)
+def _rank_step(comm, name, graph, part, *args):
+    ops = _RankOps(comm, IGPConfig(num_partitions=8))
+    return getattr(ops, name)(_RankView(graph, comm, part), part, *args)
 
 
 class TestOwnership:
@@ -122,30 +124,33 @@ class TestOwnership:
 
 
 class TestDistributedSteps:
-    """The serial phase functions run unchanged on each rank's view."""
+    """The serial phase functions run unchanged on each rank's view; the
+    rank's exchanges keep the replicas equal."""
 
     @pytest.mark.parametrize("ranks", [1, 2, 4])
     def test_assign_matches_serial(self, scenario, ranks):
         graph, carried = scenario
         serial = assign_new_vertices(graph, carried, 8)
         vm = VirtualMachine(ranks, machine=CM5, recv_timeout=30)
-        run = vm.run(_on_view, assign_new_vertices, graph, carried, 8)
+        run = vm.run(_rank_step, "assign", graph, carried)
         for out in run.results:
             assert np.array_equal(out, serial)
         assert all(t > 0 for t in run.rank_times)  # each rank read rows
-        assert run.messages == 0
+        assert (run.messages > 0) == (ranks > 1)  # the labels' allgather
 
     @pytest.mark.parametrize("ranks", [1, 2, 4])
     def test_layering_matches_serial(self, scenario, ranks):
         graph, carried = scenario
         part = assign_new_vertices(graph, carried, 8)
-        serial = layer_partitions(graph, part, 8)
+        loads = partition_weights(graph, part, 8)
+        serial = layer_partitions(graph, part, 8, loads=loads)
         vm = VirtualMachine(ranks, machine=ZERO_COST, recv_timeout=30)
-        run = vm.run(_on_view, layer_partitions, graph, part, 8)
+        run = vm.run(_rank_step, "layer", graph, part, loads)
         for lay in run.results:
             assert np.array_equal(lay.label, serial.label)
             assert np.array_equal(lay.layer, serial.layer)
             assert np.array_equal(lay.delta, serial.delta)
+        assert (run.messages > 0) == (ranks > 1)  # halo and allgather
 
 
 class TestFullPipeline:
