@@ -70,6 +70,44 @@ from repro.graph.sharded import ShardBlock, _ramp, shard_key
 __all__ = ["BoundaryFrame"]
 
 
+class _BlockCache:
+    """A frame's retained shard blocks (LRU by shard id), which is also
+    the tracked handle's ``_block_hook``.
+
+    It holds the store but no graph handle.  The frame holds the handle
+    and the handle holds this cache, so there is no reference cycle: a
+    dropped session, or a frame replaced by :meth:`BoundaryFrame.advance`
+    or :meth:`BoundaryFrame.detach`, is freed by reference counting, not
+    at the next full garbage collection.
+    """
+
+    def __init__(self, store, max_blocks: int | None):
+        self.store = store
+        self.max_blocks = max_blocks
+        self.blocks: OrderedDict[int, ShardBlock] = OrderedDict()
+        self.fetches = 0
+        self.hits = 0
+
+    def __call__(self, sid: int, rev: int) -> ShardBlock:
+        """Shard ``sid``'s block, loaded at revision ``rev`` on a miss."""
+        blk = self.blocks.get(sid)
+        if blk is not None:
+            self.hits += 1
+            self.blocks.move_to_end(sid)
+            return blk
+        blk = ShardBlock.from_arrays(self.store.get(shard_key(sid, rev)))
+        self.fetches += 1
+        self.blocks[sid] = blk
+        self.trim()
+        return blk
+
+    def trim(self) -> None:
+        """Evict least-recently-used blocks down to the cap."""
+        if self.max_blocks is not None:
+            while len(self.blocks) > self.max_blocks:
+                self.blocks.popitem(last=False)
+
+
 class BoundaryFrame:
     """Warm shard-native view of a :class:`ShardedCSRGraph`.
 
@@ -90,30 +128,19 @@ class BoundaryFrame:
             raise GraphError("max_cached_blocks must be >= 1 (or None)")
         self._graph = graph
         self.max_cached_blocks = max_cached_blocks
-        self._blocks: OrderedDict[int, ShardBlock] = OrderedDict()
-        #: Store round-trips made through this frame (instrumentation).
-        self.block_fetches = 0
-        #: Cache hits served without touching the store — together with
-        #: :attr:`block_fetches` this is the hit/miss pair flush spans
-        #: report (``frame_hits`` / ``frame_fetches`` attributes).
-        self.block_hits = 0
         # Serve the handle's own block reads (composer folds, delta
         # rewrites, full-sweep scans) from this frame's cache too, so
-        # they stop thrashing the store's typically tiny LRU.  A bound
-        # method is a fresh object per access, so pin one for the
-        # identity checks in advance()/detach().
-        self._hook = self._block
-        graph._block_hook = self._hook
+        # they stop thrashing the store's typically tiny LRU.
+        self._cache = _BlockCache(graph.store, max_cached_blocks)
+        graph._block_hook = self._cache
         # A cold attach right after a delta (e.g. recovering from a
         # fallback) can still reuse the blocks apply_delta just wrote.
         fresh = graph._fresh_blocks
         if fresh:
             graph._fresh_blocks = None
             for sid, blk in fresh.items():
-                self._blocks[int(sid)] = blk
-            if max_cached_blocks is not None:
-                while len(self._blocks) > max_cached_blocks:
-                    self._blocks.popitem(last=False)
+                self._cache.blocks[int(sid)] = blk
+            self._cache.trim()
         # graph.vweights is cached read-only on the handle; sharing it
         # costs one full shard sweep at most once per frame lifetime —
         # and with the hook already installed, that warm-up sweep also
@@ -153,29 +180,25 @@ class BoundaryFrame:
     @property
     def num_cached_blocks(self) -> int:
         """Shard blocks currently retained by the frame."""
-        return len(self._blocks)
+        return len(self._cache.blocks)
+
+    @property
+    def block_fetches(self) -> int:
+        """Store round-trips made through this frame (instrumentation)."""
+        return self._cache.fetches
+
+    @property
+    def block_hits(self) -> int:
+        """Cache hits served without touching the store — together with
+        :attr:`block_fetches` this is the hit/miss pair flush spans
+        report (``frame_hits`` / ``frame_fetches`` attributes)."""
+        return self._cache.hits
 
     # ------------------------------------------------------------------
     # Block cache
     # ------------------------------------------------------------------
     def _block(self, sid: int) -> ShardBlock:
-        blk = self._blocks.get(sid)
-        if blk is not None:
-            self.block_hits += 1
-            self._blocks.move_to_end(sid)
-            return blk
-        g = self._graph
-        # Load through the store directly: this method *is* the handle's
-        # _block_hook, so going through g.shard_block would recurse.
-        blk = ShardBlock.from_arrays(
-            g.store.get(shard_key(sid, int(g.revs[sid])))
-        )
-        self.block_fetches += 1
-        self._blocks[sid] = blk
-        if self.max_cached_blocks is not None:
-            while len(self._blocks) > self.max_cached_blocks:
-                self._blocks.popitem(last=False)
-        return blk
+        return self._cache(sid, int(self._graph.revs[sid]))
 
     def detach(self) -> None:
         """Uninstall this frame's block hook from its tracked handle.
@@ -183,7 +206,7 @@ class BoundaryFrame:
         Call before discarding a frame whose handle lives on (chunked
         fallback, revision rollback): the handle returns to direct
         store loads and stops keeping the frame's cache alive."""
-        if self._graph._block_hook is self._hook:
+        if self._graph._block_hook is self._cache:
             self._graph._block_hook = None
 
     # ------------------------------------------------------------------
@@ -342,26 +365,25 @@ class BoundaryFrame:
         self._rows_memo = None
         fresh = new_graph._fresh_blocks
         new_graph._fresh_blocks = None
+        blocks = self._cache.blocks
         for sid in inc.touched_shards:
             sid = int(sid)
             blk = None if fresh is None else fresh.get(sid)
             if blk is None:
-                self._blocks.pop(sid, None)
+                blocks.pop(sid, None)
             else:
-                self._blocks[sid] = blk
-                self._blocks.move_to_end(sid)
-        if self.max_cached_blocks is not None:
-            while len(self._blocks) > self.max_cached_blocks:
-                self._blocks.popitem(last=False)
+                blocks[sid] = blk
+                blocks.move_to_end(sid)
+        self._cache.trim()
         # Migrate the block hook: the old handle must fall back to
         # direct store loads (this frame's cache is about to track the
         # *new* revisions of touched shards), the new handle gets served
         # from the warm cache.
-        if self._graph._block_hook is self._hook:
+        if self._graph._block_hook is self._cache:
             self._graph._block_hook = None
         self._graph = new_graph
         self._vweights = vw
-        new_graph._block_hook = self._hook
+        new_graph._block_hook = self._cache
         # Seed the new handle's lazy cache so everything else reading
         # graph.vweights this epoch (flush-policy loads, composers)
         # skips its own full shard sweep.

@@ -450,9 +450,9 @@ class ShardedCSRGraph:
         self._coords: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
         # Optional block source installed by an attached BoundaryFrame:
-        # a callable sid -> ShardBlock backed by the frame's warm cache,
-        # so composer/delta reads share blocks the frame already paged
-        # instead of thrashing the store's (typically tiny) LRU.
+        # a callable (sid, rev) -> ShardBlock backed by the frame's warm
+        # cache, so composer/delta reads share blocks the frame already
+        # paged instead of thrashing the store's (typically tiny) LRU.
         self._block_hook = None
         # Blocks apply_delta just wrote for this handle, kept decoded so
         # an advancing BoundaryFrame can ingest them without a store
@@ -607,7 +607,7 @@ class ShardedCSRGraph:
         if not (0 <= sid < self.num_shards):
             raise GraphError(f"shard id {sid} out of range")
         if self._block_hook is not None:
-            return self._block_hook(sid)
+            return self._block_hook(sid, int(self.revs[sid]))
         return ShardBlock.from_arrays(
             self.store.get(shard_key(sid, int(self.revs[sid])))
         )

@@ -1,7 +1,9 @@
 """Sharded sessions: streaming parity with the monolith, format-v2
 directory snapshots (append-only saves), and the shard CLI flows."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -156,6 +158,34 @@ class TestSnapshotV2:
         reloaded = repro.PartitionSession.load(snap)
         assert reloaded.graph.num_vertices == n + 1
         reloaded.graph.validate()
+
+    def test_dropped_sessions_are_freed_without_a_collection(
+        self, churn, tmp_path
+    ):
+        """A sharded session's graph handle and its boundary frame form no
+        reference cycle: dropping a loaded session frees its handles by
+        reference counting, also the ones a flush advanced past."""
+        base, deltas = churn
+        session = repro.open_session(
+            ShardedCSRGraph.from_csr(base, 6), 4,
+            policy=FlushPolicy(max_pending=1), seed=0,
+        )
+        session.extend(deltas[:2])
+        snap = tmp_path / "snap.igps"
+        session.save(snap)
+        gc.collect()
+        gc.disable()
+        try:
+            loaded = repro.PartitionSession.load(snap, max_resident=2)
+            loaded.quality()
+            handles = [weakref.ref(loaded.graph)]
+            loaded.extend(deltas[2:4])
+            handles.append(weakref.ref(loaded.graph))
+            loaded.quality()
+            del loaded
+            assert [h() for h in handles] == [None, None]
+        finally:
+            gc.enable()
 
     def test_loaded_session_flushes_into_snapshot_store(self, churn, tmp_path):
         base, deltas = churn
