@@ -437,16 +437,19 @@ class CSRGraph:
         )
 
 
+def _ramp(counts: np.ndarray) -> np.ndarray:
+    """``[0..c0-1, 0..c1-1, ...]`` for the given segment lengths."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    return np.arange(total, dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+
+
 def _row_gather(xadj: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices selecting the adjacency rows of ``vertices``; also
     returns the per-vertex row lengths."""
     starts = xadj[vertices]
     counts = xadj[vertices + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64), counts
-    idx = np.repeat(starts, counts) + (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(np.cumsum(counts) - counts, counts)
-    )
-    return idx, counts
+    return np.repeat(starts, counts) + _ramp(counts), counts

@@ -64,8 +64,9 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.operations import boundary_vertices
-from repro.graph.csr import _row_gather
-from repro.graph.sharded import ShardBlock, _ramp, shard_key
+from repro.graph.csr import _ramp, _row_gather
+from repro.graph.incremental import _added_vweights
+from repro.graph.sharded import ShardBlock, shard_key
 
 __all__ = ["BoundaryFrame"]
 
@@ -100,6 +101,19 @@ class _BlockCache:
         self.blocks[sid] = blk
         self.trim()
         return blk
+
+    def ingest(self, fresh: dict[int, ShardBlock] | None, sids) -> None:
+        """Follow shards ``sids`` to new revisions: keep the decoded
+        block ``fresh`` holds for a shard, drop a shard's stale one."""
+        for sid in sids:
+            sid = int(sid)
+            blk = None if fresh is None else fresh.get(sid)
+            if blk is None:
+                self.blocks.pop(sid, None)
+            else:
+                self.blocks[sid] = blk
+                self.blocks.move_to_end(sid)
+        self.trim()
 
     def trim(self) -> None:
         """Evict least-recently-used blocks down to the cap."""
@@ -138,9 +152,7 @@ class BoundaryFrame:
         fresh = graph._fresh_blocks
         if fresh:
             graph._fresh_blocks = None
-            for sid, blk in fresh.items():
-                self._cache.blocks[int(sid)] = blk
-            self._cache.trim()
+            self._cache.ingest(fresh, fresh)
         # graph.vweights is cached read-only on the handle; sharing it
         # costs one full shard sweep at most once per frame lifetime —
         # and with the hook already installed, that warm-up sweep also
@@ -335,13 +347,7 @@ class BoundaryFrame:
         vw = np.empty(new_graph.num_vertices, dtype=np.float64)
         keep = inc.old_to_new >= 0
         vw[inc.old_to_new[keep]] = self._vweights[keep]
-        if len(inc.new_vertex_ids):
-            add_vw = (
-                np.ones(len(inc.new_vertex_ids), dtype=np.float64)
-                if delta.added_vweights is None
-                else np.asarray(delta.added_vweights, dtype=np.float64)
-            )
-            vw[inc.new_vertex_ids] = add_vw
+        vw[inc.new_vertex_ids] = _added_vweights(delta)
         vw.setflags(write=False)
 
         if self._boundary is not None:
@@ -363,18 +369,8 @@ class BoundaryFrame:
         # moment ago; anything not handed over is dropped and re-paged
         # on demand.
         self._rows_memo = None
-        fresh = new_graph._fresh_blocks
+        self._cache.ingest(new_graph._fresh_blocks, inc.touched_shards)
         new_graph._fresh_blocks = None
-        blocks = self._cache.blocks
-        for sid in inc.touched_shards:
-            sid = int(sid)
-            blk = None if fresh is None else fresh.get(sid)
-            if blk is None:
-                blocks.pop(sid, None)
-            else:
-                blocks[sid] = blk
-                blocks.move_to_end(sid)
-        self._cache.trim()
         # Migrate the block hook: the old handle must fall back to
         # direct store loads (this frame's cache is about to track the
         # *new* revisions of touched shards), the new handle gets served

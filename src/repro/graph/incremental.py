@@ -8,6 +8,15 @@ index mappings needed to carry the old partition vector forward (deleted
 vertices vanish, surviving vertices keep their relative order, new vertices
 are appended at the end).
 
+The graph is built from a delta once, in one place: ``_check_refs``
+validates the delta's vertex references, and the block-splice kernel
+``_splice`` cuts the dropped arcs out of a block of sorted arcs and
+inserts the added ones.  The sharded
+:meth:`~repro.graph.sharded.ShardedCSRGraph.apply_delta` runs the kernel
+once per touched shard block; :func:`apply_delta` is the one-block case,
+with the vertex ids as rows.  :meth:`DeltaComposer.fold` runs the same
+validator.
+
 Vertex naming convention inside a delta: the ``i``-th added vertex is
 referred to as ``n_old + i`` in ``added_edges``, so a delta can connect new
 vertices both to old vertices and to each other — which is what localized
@@ -31,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _row_gather
 
 __all__ = [
     "DeltaComposer",
@@ -59,30 +68,6 @@ def _lookup(
     inside = pos < len(sorted_keys)
     found[inside] = sorted_keys[pos[inside]] == queries[inside]
     return pos, found
-
-
-def _listed(rows: np.ndarray) -> str:
-    """The first five ``(u, v)`` rows, with ``...`` if there are more."""
-    head = [tuple(int(x) for x in row) for row in rows[:5]]
-    return f"{head}{'...' if len(rows) > 5 else ''}"
-
-
-def _missing_deletions_error(deleted_edges: np.ndarray, hit: np.ndarray) -> GraphError:
-    """The strict-mode error for the deleted edges that were not found."""
-    return GraphError(
-        f"deleted_edges entries do not exist in the graph: "
-        f"{_listed(deleted_edges[~hit])} "
-        f"(pass strict=False to skip missing deletions)"
-    )
-
-
-def _duplicates_error(added_edges: np.ndarray, clash: np.ndarray) -> GraphError:
-    """The error for added edges that repeat a surviving or earlier one."""
-    return GraphError(
-        f"added_edges duplicate existing or other added edges: "
-        f"{_listed(added_edges[clash])} (pass "
-        f"accumulate_weights=True to sum the weights instead)"
-    )
 
 
 @dataclass(frozen=True)
@@ -228,6 +213,190 @@ class IncrementalResult:
     is_new: np.ndarray
 
 
+def _added_eweights(delta: GraphDelta) -> np.ndarray:
+    """Weights of the delta's added edges (unit by default)."""
+    if delta.added_eweights is None:
+        return np.ones(len(delta.added_edges))
+    return np.asarray(delta.added_eweights, dtype=np.float64)
+
+
+def _added_vweights(delta: GraphDelta) -> np.ndarray:
+    """Weights of the delta's added vertices (unit by default)."""
+    if delta.added_vweights is None:
+        return np.ones(delta.num_added_vertices)
+    return np.asarray(delta.added_vweights, dtype=np.float64)
+
+
+def _added_coords(delta: GraphDelta, dim: int) -> np.ndarray:
+    """Coordinates of the delta's added vertices (NaN by default)."""
+    n_add = delta.num_added_vertices
+    if delta.added_coords is None:
+        return np.full((n_add, dim), np.nan)
+    return np.asarray(delta.added_coords, dtype=np.float64).reshape(n_add, dim)
+
+
+def _check_refs(delta: GraphDelta, n: int) -> None:
+    """Raise the first broken vertex reference of ``delta`` against a
+    graph of ``n`` vertices (the delta's ``j``-th new vertex is ``n + j``).
+
+    The one validator of :func:`apply_delta`, the sharded
+    :meth:`~repro.graph.sharded.ShardedCSRGraph.apply_delta` and
+    :meth:`DeltaComposer.fold`; it costs O(delta), nothing of size ``n``.
+    """
+    dead, added, deleted = delta.deleted_vertices, delta.added_edges, delta.deleted_edges
+    if len(dead) and (dead[0] < 0 or dead[-1] >= n):
+        raise GraphError("deleted vertex id out of range")
+    if len(added) and (added.min() < 0 or added.max() >= n + delta.num_added_vertices):
+        raise GraphError("added edge endpoint out of range")
+    if len(deleted) and (deleted.min() < 0 or deleted.max() >= n):
+        raise GraphError("deleted edge endpoint out of range")
+    if len(added) and len(dead) and _lookup(dead, added.ravel())[1].any():
+        raise GraphError("added edge references a deleted vertex")
+
+
+def _renumber(n: int, deleted_vertices: np.ndarray, n_add: int):
+    """``(survivors, old_to_new, new_vertex_ids, is_new)`` of a delta on
+    ``n`` vertices: survivors keep their relative order and the ``n_add``
+    new vertices are appended after them."""
+    alive = np.ones(n, dtype=bool)
+    alive[deleted_vertices] = False
+    survivors = np.flatnonzero(alive)
+    old_to_new = np.full(n, -1, dtype=np.int64)
+    old_to_new[survivors] = np.arange(len(survivors), dtype=np.int64)
+    n_new = len(survivors) + n_add
+    new_vertex_ids = np.arange(len(survivors), n_new, dtype=np.int64)
+    is_new = np.arange(n_new) >= len(survivors)
+    return survivors, old_to_new, new_vertex_ids, is_new
+
+
+def _added_arcs(edges: np.ndarray, m: np.int64):
+    """``(first, inv, src, dst, edge)`` of ``(k, 2)`` added edges with
+    ids below ``m``: ``np.unique``'s ``first``/``inv`` over the keys
+    ``min·m + max`` of the distinct edges, and both arcs ``src → dst`` of
+    each distinct edge ``edge``, sorted by (source, target)."""
+    lo, hi = edges.min(axis=1), edges.max(axis=1)
+    uniq, first, inv = np.unique(
+        lo * m + hi, return_index=True, return_inverse=True
+    )
+    src = np.concatenate([uniq // m, uniq % m])
+    dst = np.concatenate([uniq % m, uniq // m])
+    order = np.argsort(src * m + dst)
+    edge = np.tile(np.arange(len(uniq), dtype=np.int64), 2)[order]
+    return first, inv, src[order], dst[order], edge
+
+
+def _splice(
+    xadj: np.ndarray,
+    adj: np.ndarray,
+    eweights: np.ndarray,
+    m: np.int64,
+    n_rows: int,
+    dead_rows: np.ndarray,
+    drop: tuple[np.ndarray, np.ndarray],
+    ins: tuple[np.ndarray, np.ndarray, np.ndarray],
+    inv: np.ndarray,
+    add_w: np.ndarray,
+):
+    """Splice one block of sorted arcs: the kernel under both apply paths.
+
+    The block's arcs are sorted by (row, target), so ``row·m + target``
+    (``m`` exceeds every target) is a strictly increasing key and every
+    lookup is a binary search in it.  Rows past ``len(xadj) - 2``, up to
+    ``n_rows - 1``, are new and start empty.  ``dead_rows`` lose their
+    arcs and the ``(row, target)`` arcs of ``drop`` are dropped if
+    present.  ``ins`` holds the added arcs as ``(row, target, edge)``,
+    sorted by (row, target); ``inv`` maps each added edge of the delta
+    (weight ``add_w``) to its distinct ``edge``.  Each distinct edge gets
+    one weight, summed by one ``bincount`` (which adds in array order):
+    the surviving old weight first, then the added weights in delta
+    order, as an edge-list rebuild sums them.  A surviving arc takes the
+    sum in place; a new arc is inserted at its sorted position.
+
+    Returns ``(counts, adj, eweights, drop_hit, on_old)``: arcs per row,
+    the new arc arrays, which drops hit, and which distinct edges had a
+    surviving arc here.  Cost: one O(arcs) copy plus O(k log arcs).
+    """
+    rows = np.repeat(np.arange(len(xadj) - 1, dtype=np.int64), np.diff(xadj))
+    keys = rows * m + adj
+    at, drop_hit = _lookup(keys, drop[0] * m + drop[1])
+    gone = np.concatenate([_row_gather(xadj, dead_rows)[0], at[drop_hit]])
+    if len(gone):
+        keep = np.ones(len(keys), dtype=bool)
+        keep[gone] = False
+        rows, keys, adj, w = rows[keep], keys[keep], adj[keep], eweights[keep]
+    else:
+        w = eweights.copy()
+
+    ins_row, ins_dst, ins_edge = ins
+    at, hit = _lookup(keys, ins_row * m + ins_dst)
+    num_edges = len(inv) and int(inv.max()) + 1
+    on_old = np.zeros(num_edges, dtype=bool)
+    on_old[ins_edge[hit]] = True
+    old_w = np.zeros(num_edges)
+    old_w[ins_edge[hit]] = w[at[hit]]
+    old = np.flatnonzero(on_old)
+    merged = np.bincount(
+        np.concatenate([old, inv]),
+        weights=np.concatenate([old_w[old], add_w]),
+        minlength=num_edges,
+    )
+    w[at[hit]] = merged[ins_edge[hit]]
+    new = ~hit
+    adj = np.insert(adj, at[new], ins_dst[new])
+    w = np.insert(w, at[new], merged[ins_edge[new]])
+    counts = np.bincount(rows, minlength=n_rows) + np.bincount(
+        ins_row[new], minlength=n_rows
+    )
+    return counts, adj, w, drop_hit, on_old
+
+
+def _listed(rows: np.ndarray) -> str:
+    """The first five ``(u, v)`` rows, with ``...`` if there are more."""
+    head = [tuple(int(x) for x in row) for row in rows[:5]]
+    return f"{head}{'...' if len(rows) > 5 else ''}"
+
+
+def _check_splice(
+    delta: GraphDelta,
+    drop_hit: np.ndarray,
+    on_old: np.ndarray,
+    first: np.ndarray,
+    inv: np.ndarray,
+    *,
+    strict: bool,
+    accumulate_weights: bool,
+) -> None:
+    """Raise the errors only the splice can tell, in this order: deleted
+    edges of which neither orientation hit (``drop_hit`` lists the
+    forward ones, then the backward ones, first), if ``strict``; added
+    edges that repeat a surviving (``on_old``) or an earlier added edge,
+    unless ``accumulate_weights``; self-loops."""
+    k = len(delta.deleted_edges)
+    found = drop_hit[:k] | drop_hit[k : 2 * k]
+    if strict and not found.all():
+        raise GraphError(
+            f"deleted_edges entries do not exist in the graph: "
+            f"{_listed(delta.deleted_edges[~found])} "
+            f"(pass strict=False to skip missing deletions)"
+        )
+    if not accumulate_weights:
+        # An added edge that coincides with a surviving old edge — or
+        # with an earlier added edge — would have its weight *summed*
+        # into that edge: a silent doubling for unit weights.
+        clash = np.ones(len(inv), dtype=bool)
+        clash[first] = False
+        clash |= on_old[inv]
+        if clash.any():
+            raise GraphError(
+                f"added_edges duplicate existing or other added edges: "
+                f"{_listed(delta.added_edges[clash])} (pass "
+                f"accumulate_weights=True to sum the weights instead)"
+            )
+    added = delta.added_edges
+    if np.any(added[:, 0] == added[:, 1]):
+        raise GraphError("self-loops are not allowed")
+
+
 def apply_delta(
     graph: CSRGraph,
     delta: GraphDelta,
@@ -238,15 +407,17 @@ def apply_delta(
     """Materialise ``G'`` from ``G`` and a :class:`GraphDelta`.
 
     The new CSR arrays are spliced from the old ones instead of being
-    rebuilt from an edge list: the arcs of ``graph`` are already sorted
-    by ``(source, target)``, deleted edges are located by binary search
-    on those arc keys, the surviving arcs are masked and renumbered (the
-    renumbering is monotone, so they stay sorted) and the few added arcs
-    are inserted at their sorted positions.  The cost is one O(|E|) copy
-    of the arc arrays plus O(k log |E|) for ``k`` deleted or added
-    edges; nothing of size |E| is sorted.  The result is the graph
-    :meth:`CSRGraph.from_edges` would build from the surviving and added
-    edges, weights included.
+    rebuilt from an edge list: ``graph`` is one block for the splice
+    kernel that the sharded apply runs per shard, with the vertex ids as
+    rows (the delta's new vertices ``n_old + j`` are rows after the old
+    ones).  Deleted edges and the arcs pointing at deleted vertices
+    (gathered from the deleted vertices' own rows) are located by binary
+    search, the few added arcs are inserted at their sorted positions,
+    and the targets are renumbered through a monotone map, so the arcs
+    stay sorted.  The cost is one O(|E|) copy of the arc arrays plus
+    O(k log |E|) for ``k`` deleted or added edges; nothing of size |E|
+    is sorted.  The result is the graph :meth:`CSRGraph.from_edges`
+    would build from the surviving and added edges, weights included.
 
     Parameters
     ----------
@@ -267,140 +438,45 @@ def apply_delta(
     """
     n_old = graph.num_vertices
     n_add = delta.num_added_vertices
-
-    # --- validate delta references -----------------------------------
-    if len(delta.deleted_vertices) and (
-        delta.deleted_vertices[0] < 0 or delta.deleted_vertices[-1] >= n_old
-    ):
-        raise GraphError("deleted vertex id out of range")
-    limit = n_old + n_add
-    if len(delta.added_edges) and (
-        delta.added_edges.min() < 0 or delta.added_edges.max() >= limit
-    ):
-        raise GraphError("added edge endpoint out of range")
-    if len(delta.deleted_edges) and (
-        delta.deleted_edges.min() < 0 or delta.deleted_edges.max() >= n_old
-    ):
-        raise GraphError("deleted edge endpoint out of range")
-
-    deleted_mask = np.zeros(n_old, dtype=bool)
-    deleted_mask[delta.deleted_vertices] = True
-    if len(delta.added_edges):
-        old_endpoints = delta.added_edges[delta.added_edges < n_old]
-        if np.any(deleted_mask[old_endpoints]):
-            raise GraphError("added edge references a deleted vertex")
-
-    # --- vertex renumbering ------------------------------------------
-    survivors = np.flatnonzero(~deleted_mask)
-    old_to_new = np.full(n_old, -1, dtype=np.int64)
-    old_to_new[survivors] = np.arange(len(survivors), dtype=np.int64)
-    n_new = len(survivors) + n_add
-    new_vertex_ids = np.arange(len(survivors), n_new, dtype=np.int64)
-
-    # --- surviving old arcs ------------------------------------------
-    # Arcs are sorted by (source, target), so their packed keys
-    # ``source * n + target`` are sorted too and every lookup below is a
-    # binary search.
-    src, dst, arc_w = graph.arc_sources(), graph.adj, graph.eweights
-    keep = ~(deleted_mask[src] | deleted_mask[dst])
-    if len(delta.deleted_edges):
-        # Deletions may name either orientation: the graph is symmetric,
-        # so an arc is found iff its mirror is.  Deletions of edges that
-        # vanish with a deleted vertex in the same delta are hits.
-        de = delta.deleted_edges
-        n64 = np.int64(n_old)
-        arc_keys = src * n64 + dst
-        fwd, hit = _lookup(arc_keys, de[:, 0] * n64 + de[:, 1])
-        if strict and not hit.all():
-            raise _missing_deletions_error(de, hit)
-        keep[fwd[hit]] = False
-        keep[np.searchsorted(arc_keys, de[hit, 1] * n64 + de[hit, 0])] = False
-    # old_to_new is monotone, so the renumbered arcs stay sorted.
-    src = old_to_new[src[keep]]
-    dst = old_to_new[dst[keep]]
-    arc_w = arc_w[keep]
-
-    # --- added arcs ----------------------------------------------------
-    ins_src = np.zeros(0, dtype=np.int64)
-    if len(delta.added_edges):
-        added = np.concatenate([old_to_new, new_vertex_ids])[delta.added_edges]
-        add_w = (
-            np.ones(len(added))
-            if delta.added_eweights is None
-            else np.asarray(delta.added_eweights, dtype=np.float64)
-        )
-        # Canonical (min, max) keys in the new id space cover both
-        # orientations.
-        m = np.int64(n_new)
-        lo, hi = added.min(axis=1), added.max(axis=1)
-        arc_keys = src * m + dst
-        uniq, first, inv = np.unique(
-            lo * m + hi, return_index=True, return_inverse=True
-        )
-        at, on_old = _lookup(arc_keys, uniq)
-        if not accumulate_weights:
-            # An added edge that coincides with a surviving old edge — or
-            # with an earlier added edge — would have its weight *summed*
-            # into that edge: a silent doubling for unit weights.
-            clash = np.ones(len(inv), dtype=bool)
-            clash[first] = False
-            clash |= on_old[inv]
-            if clash.any():
-                raise _duplicates_error(delta.added_edges, clash)
-        if np.any(lo == hi):
-            raise GraphError("self-loops are not allowed")
-        # Weight of each distinct added edge: the surviving old weight
-        # first (if any), then the added weights in delta order — the
-        # summation order of an edge-list rebuild.
-        merged = np.zeros(len(uniq))
-        merged[on_old] += arc_w[at[on_old]]
-        np.add.at(merged, inv, add_w)
-        if on_old.any():
-            old_lo, old_hi = uniq[on_old] // m, uniq[on_old] % m
-            arc_w[at[on_old]] = merged[on_old]
-            arc_w[np.searchsorted(arc_keys, old_hi * m + old_lo)] = merged[on_old]
-        new_keys = uniq[~on_old]
-        u, v, w = new_keys // m, new_keys % m, merged[~on_old]
-        ins_src = np.concatenate([u, v])
-        ins_dst = np.concatenate([v, u])
-        order = np.argsort(ins_src * m + ins_dst)
-        ins_src, ins_dst = ins_src[order], ins_dst[order]
-        at = np.searchsorted(arc_keys, ins_src * m + ins_dst)
-        dst = np.insert(dst, at, ins_dst)
-        arc_w = np.insert(arc_w, at, np.concatenate([w, w])[order])
-
-    xadj = np.zeros(n_new + 1, dtype=np.int64)
-    np.cumsum(
-        np.bincount(src, minlength=n_new) + np.bincount(ins_src, minlength=n_new),
-        out=xadj[1:],
+    _check_refs(delta, n_old)
+    survivors, old_to_new, new_vertex_ids, is_new = _renumber(
+        n_old, delta.deleted_vertices, n_add
     )
 
-    # --- weights / coords ----------------------------------------------
-    vweights = np.concatenate(
-        [
-            graph.vweights[survivors],
-            (
-                np.ones(n_add)
-                if delta.added_vweights is None
-                else np.asarray(delta.added_vweights, dtype=np.float64)
-            ),
-        ]
+    # Arcs to drop, each looked up from its source's row: both
+    # orientations of each deleted edge (an edge that vanishes with a
+    # deleted vertex in the same delta is a hit), then the arcs that
+    # point at a deleted vertex, read off its own row.
+    m = np.int64(n_old + n_add)
+    dead, de = delta.deleted_vertices, delta.deleted_edges
+    idx, deg = _row_gather(graph.xadj, dead)
+    drop = np.concatenate(
+        [de, de[:, ::-1], np.column_stack([graph.adj[idx], np.repeat(dead, deg)])]
     )
+    first, inv, ins_src, ins_dst, ins_edge = _added_arcs(delta.added_edges, m)
+    counts, adj, arc_w, drop_hit, on_old = _splice(
+        graph.xadj, graph.adj, graph.eweights, m, n_old + n_add, dead,
+        (drop[:, 0], drop[:, 1]), (ins_src, ins_dst, ins_edge),
+        inv, _added_eweights(delta),
+    )
+    _check_splice(
+        delta, drop_hit, on_old, first, inv,
+        strict=strict, accumulate_weights=accumulate_weights,
+    )
+    if len(dead):
+        adj = np.concatenate([old_to_new, new_vertex_ids])[adj]
+    xadj = np.zeros(len(is_new) + 1, dtype=np.int64)
+    np.cumsum(np.delete(counts, dead), out=xadj[1:])
+
+    vweights = np.concatenate([graph.vweights[survivors], _added_vweights(delta)])
     coords = None
     if graph.coords is not None:
-        dim = graph.coords.shape[1]
-        add_coords = (
-            np.full((n_add, dim), np.nan)
-            if delta.added_coords is None
-            else np.asarray(delta.added_coords, dtype=np.float64).reshape(n_add, dim)
+        coords = np.vstack(
+            [graph.coords[survivors], _added_coords(delta, graph.coords.shape[1])]
         )
-        coords = np.vstack([graph.coords[survivors], add_coords])
-
     new_graph = CSRGraph(
-        xadj, dst, vweights=vweights, eweights=arc_w, coords=coords, validate=False
+        xadj, adj, vweights=vweights, eweights=arc_w, coords=coords, validate=False
     )
-    is_new = np.zeros(n_new, dtype=bool)
-    is_new[new_vertex_ids] = True
     return IncrementalResult(
         graph=new_graph,
         old_to_new=old_to_new,
@@ -506,26 +582,7 @@ class DeltaComposer:
         n_cur = len(prov)
         base_j = len(self._add_alive)
 
-        # --- validate against the current frame (mirrors apply_delta) ---
-        if len(d.deleted_vertices) and (
-            d.deleted_vertices[0] < 0 or d.deleted_vertices[-1] >= n_cur
-        ):
-            raise GraphError("deleted vertex id out of range")
-        limit = n_cur + d.num_added_vertices
-        if len(d.added_edges) and (
-            d.added_edges.min() < 0 or d.added_edges.max() >= limit
-        ):
-            raise GraphError("added edge endpoint out of range")
-        if len(d.deleted_edges) and (
-            d.deleted_edges.min() < 0 or d.deleted_edges.max() >= n_cur
-        ):
-            raise GraphError("deleted edge endpoint out of range")
-        if (
-            len(d.added_edges)
-            and len(d.deleted_vertices)
-            and _lookup(d.deleted_vertices, d.added_edges.ravel())[1].any()
-        ):
-            raise GraphError("added edge references a deleted vertex")
+        _check_refs(d, n_cur)
 
         def encode(c: int) -> int:
             if c < n_cur:
@@ -594,12 +651,7 @@ class DeltaComposer:
             self._add_coords.append(None if coords is None else coords[t])
 
         # --- edge additions ---------------------------------------------
-        ew = (
-            np.ones(len(d.added_edges))
-            if d.added_eweights is None
-            else np.asarray(d.added_eweights, dtype=np.float64)
-        )
-        for (u, v), w in zip(d.added_edges, ew):
+        for (u, v), w in zip(d.added_edges, _added_eweights(d)):
             a, b = encode(int(u)), encode(int(v))
             if a == b:
                 raise GraphError("self-loops are not allowed")

@@ -33,18 +33,26 @@ Design notes
   sessions falls out: a saved manifest keeps referencing block files that
   still exist.
 
+* **One splice kernel.**  :meth:`ShardedCSRGraph.apply_delta` validates
+  a delta and splices each touched block with the helpers of
+  :mod:`repro.graph.incremental`; the monolithic
+  :func:`~repro.graph.incremental.apply_delta` is the same kernel run on
+  one block whose births are the vertex ids.
+
 The monolithic equivalence contract (tested property): splitting a graph,
 routing a delta through :meth:`ShardedCSRGraph.apply_delta` and
 re-assembling with :meth:`to_csr` yields exactly the graph (ids, weights,
 coordinates) that :func:`repro.graph.incremental.apply_delta` produces on
-the monolith, together with the same ``old_to_new`` index mapping.
+the monolith, together with the same ``old_to_new`` index mapping.  With
+one kernel under both, the property test checks the shard routing and
+the per-block bookkeeping, not a second copy of the splice.
 """
 
 from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,12 +63,18 @@ from repro.errors import (
     GraphValidationError,
     ValidationError,
 )
-from repro.graph.csr import CSRGraph, _row_gather
+from repro.graph.csr import CSRGraph, _ramp, _row_gather
 from repro.graph.incremental import (
     GraphDelta,
-    _duplicates_error,
-    _lookup,
-    _missing_deletions_error,
+    IncrementalResult,
+    _added_arcs,
+    _added_coords,
+    _added_eweights,
+    _added_vweights,
+    _check_refs,
+    _check_splice,
+    _renumber,
+    _splice,
 )
 from repro.obs import get_tracer
 
@@ -358,41 +372,17 @@ class ShardBlock:
                 )
 
 
-# ----------------------------------------------------------------------
-# Incremental result (mirrors repro.graph.incremental.IncrementalResult)
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ShardedIncrementalResult:
-    """Output of :meth:`ShardedCSRGraph.apply_delta`.
+class ShardedIncrementalResult(IncrementalResult):
+    """Output of :meth:`ShardedCSRGraph.apply_delta`: an
+    :class:`~repro.graph.incremental.IncrementalResult` (so
+    :func:`~repro.graph.incremental.carry_partition` accepts it) that
+    also reports which shards were rewritten, where each new vertex was
+    routed, and how many arcs the new blocks hold."""
 
-    Field-compatible with
-    :class:`~repro.graph.incremental.IncrementalResult` (``graph`` /
-    ``old_to_new`` / ``new_vertex_ids`` / ``is_new``), so
-    :func:`~repro.graph.incremental.carry_partition` accepts it
-    unchanged; additionally reports which shards were rewritten, how
-    many arcs their new blocks hold, and where each new vertex was
-    routed.
-    """
-
-    graph: "ShardedCSRGraph"
-    old_to_new: np.ndarray
-    new_vertex_ids: np.ndarray
-    is_new: np.ndarray
-    touched_shards: frozenset = field(default_factory=frozenset)
-    new_vertex_shards: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, np.int64)
-    )
-    arcs_written: int = 0
-
-
-def _ramp(counts: np.ndarray) -> np.ndarray:
-    """``[0..c0-1, 0..c1-1, ...]`` for the given segment lengths."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
+    touched_shards: frozenset
+    new_vertex_shards: np.ndarray
+    arcs_written: int
 
 
 # ----------------------------------------------------------------------
@@ -842,134 +832,46 @@ class ShardedCSRGraph:
         """Deterministically assign each added vertex to a shard.
 
         Majority vote over the shards owning the new vertex's *old*
-        neighbours (ties toward the smallest shard id); a new vertex with
-        only new neighbours inherits the earliest-routed one's shard; an
-        isolated new vertex goes to the currently smallest shard.
+        neighbours, one vote per added edge (ties toward the smallest
+        shard id).  Then, in id order, a new vertex without old
+        neighbours takes the shard of its lowest-id new neighbour routed
+        so far, and failing that the currently smallest shard (ties
+        toward the smallest id); either way that shard grows by one.
         """
         n = self.num_vertices
         n_add = delta.num_added_vertices
         routed = np.full(n_add, -1, dtype=np.int64)
-        votes: list[dict[int, int]] = [dict() for _ in range(n_add)]
-        new_links: list[list[int]] = [[] for _ in range(n_add)]
-        for u, v in delta.added_edges:
-            u, v = int(u), int(v)
-            for a, b in ((u, v), (v, u)):
-                if a >= n:
-                    j = a - n
-                    if b < n:
-                        sid = int(self.shard_of_birth[self.births[b]])
-                        votes[j][sid] = votes[j].get(sid, 0) + 1
-                    else:
-                        new_links[j].append(b - n)
-        sizes = self._shard_nv.astype(np.int64).copy()
-        for j in range(n_add):
-            if votes[j]:
-                best = max(
-                    votes[j].items(), key=lambda kv: (kv[1], -kv[0])
-                )[0]
-                routed[j] = best
-                sizes[best] += 1
-        for j in range(n_add):
-            if routed[j] >= 0:
-                continue
-            linked = [k for k in new_links[j] if routed[k] >= 0]
-            if linked:
-                routed[j] = routed[min(linked)]
-            else:
-                routed[j] = int(np.argmin(sizes))
+        # Each added edge in both orientations a -> b, from new a only.
+        a = delta.added_edges.ravel()
+        b = delta.added_edges[:, ::-1].ravel()
+        from_new = a >= n
+        a, b = a[from_new] - n, b[from_new]
+        old = b < n
+        # Votes counted per (new vertex, shard) pair; sorting each
+        # vertex's pairs by descending count, then shard, puts its
+        # winner first.
+        pairs, votes = np.unique(
+            a[old] * self.num_shards + self.shard_of_birth[self.births[b[old]]],
+            return_counts=True,
+        )
+        voter, shard = pairs // self.num_shards, pairs % self.num_shards
+        order = np.lexsort((shard, -votes, voter))
+        winner = np.ones(len(order), dtype=bool)
+        winner[1:] = voter[order[1:]] != voter[order[:-1]]
+        routed[voter[order[winner]]] = shard[order[winner]]
+        sizes = self._shard_nv + np.bincount(
+            routed[routed >= 0], minlength=self.num_shards
+        )
+        # The rest in id order, each seeing the ones routed before it.
+        link_src, link_dst = a[~old], b[~old] - n
+        order = np.argsort(link_src, kind="stable")
+        link_src, link_dst = link_src[order], link_dst[order]
+        for j in np.flatnonzero(routed < 0).tolist():
+            lo, hi = np.searchsorted(link_src, [j, j + 1])
+            linked = link_dst[lo:hi][routed[link_dst[lo:hi]] >= 0]
+            routed[j] = routed[linked.min()] if len(linked) else np.argmin(sizes)
             sizes[routed[j]] += 1
         return routed
-
-    def _delta_frames(self, delta: GraphDelta):
-        """Shared delta decoding: birth-frame views of a delta plus the
-        routing of its new vertices.
-
-        Returns ``(dead_births, mirror_arcs, del_edge_births,
-        add_edge_births, routed, shard_of_birth_ext)``.  ``mirror_arcs``
-        is the ``(k, 2)`` ``(source, target)`` births of every arc that
-        points at a deleted vertex from a neighbour's row; gathering it
-        loads the deleted vertices' own blocks.  The extended owner map
-        also covers the not-yet-born vertices at ``next_birth + j``.
-        """
-        n = self.num_vertices
-        n_add = delta.num_added_vertices
-        new_births = np.arange(
-            self.next_birth, self.next_birth + n_add, dtype=np.int64
-        )
-        dead_births = self.births[delta.deleted_vertices]
-
-        def birth_of_endpoint(e: np.ndarray) -> np.ndarray:
-            e = np.asarray(e, dtype=np.int64)
-            out = np.empty(len(e), dtype=np.int64)
-            old = e < n
-            out[old] = self.births[e[old]]
-            out[~old] = new_births[e[~old] - n]
-            return out
-
-        def edge_births(arr: np.ndarray) -> np.ndarray:
-            if not len(arr):
-                return np.zeros((0, 2), dtype=np.int64)
-            return np.column_stack(
-                [birth_of_endpoint(arr[:, 0]), birth_of_endpoint(arr[:, 1])]
-            )
-
-        mirrors = [np.zeros((0, 2), dtype=np.int64)]
-        owners = self.shard_of_birth[dead_births]
-        for sid in np.unique(owners):
-            block = self.shard_block(int(sid))
-            dead = dead_births[owners == sid]
-            idx, counts = _row_gather(
-                block.xadj, np.searchsorted(block.births, dead)
-            )
-            mirrors.append(np.column_stack([block.adj[idx], np.repeat(dead, counts)]))
-
-        routed = self.route_new_vertices(delta)
-        shard_of_birth_ext = np.concatenate(
-            [self.shard_of_birth, np.zeros(n_add, dtype=np.int64)]
-        )
-        if n_add:
-            shard_of_birth_ext[new_births] = routed
-        return (
-            dead_births,
-            np.concatenate(mirrors),
-            edge_births(delta.deleted_edges),
-            edge_births(delta.added_edges),
-            routed,
-            shard_of_birth_ext,
-        )
-
-    def _touched_for(
-        self,
-        dead_births: np.ndarray,
-        mirrors: np.ndarray,
-        del_edge_births: np.ndarray,
-        add_edge_births: np.ndarray,
-        routed: np.ndarray,
-        shard_of_birth_ext: np.ndarray,
-    ) -> set[int]:
-        """The shards a decoded delta rewrites (see :meth:`touched_shards`)."""
-        return {
-            int(s)
-            for s in np.unique(
-                np.concatenate(
-                    [
-                        self.shard_of_birth[dead_births],
-                        self.shard_of_birth[mirrors[:, 0]],
-                        self.shard_of_birth[del_edge_births.ravel()],
-                        shard_of_birth_ext[add_edge_births.ravel()],
-                        routed,
-                    ]
-                )
-            )
-        }
-
-    def touched_shards(self, delta: GraphDelta) -> set[int]:
-        """Shards a delta would rewrite: owners of deleted vertices *and
-        their neighbours* (mirror arcs), both endpoints of deleted edges,
-        old endpoints of added edges, and the shards receiving new
-        vertices.  This is exactly the set :meth:`apply_delta` rewrites
-        (both run the same gather)."""
-        return self._touched_for(*self._delta_frames(delta))
 
     # ------------------------------------------------------------------
     # Delta application
@@ -983,229 +885,127 @@ class ShardedCSRGraph:
     ) -> ShardedIncrementalResult:
         """Apply a delta shard-locally; only touched shards are rewritten.
 
-        Each touched block is spliced, not rebuilt.  Its arcs are sorted
-        by (local row, target birth), so ``row * M + target`` (``M``
-        exceeds every birth) is a strictly increasing key and every
-        lookup below is a binary search in it:
+        Each touched block goes once through the splice kernel that
+        :func:`repro.graph.incremental.apply_delta` runs on the whole
+        monolith, with the block's local rows as rows and births as
+        targets (``M`` exceeds every birth).  A block is touched if it
+        owns a deleted vertex, a source of an arc to drop (either end of
+        a deleted edge, a neighbour of a deleted vertex), an end of an
+        added edge or a routed new vertex.  New vertices' rows go after
+        the old ones: their births exceed every old birth.
 
-        * a deleted edge is looked up in both orientations, each from
-          the row of its source; a hit drops the arc and proves the
-          edge existed;
-        * a deleted vertex drops its own rows, and the arcs that point
-          at it are looked up from its neighbours' rows;
-        * each distinct added edge gets one weight, summed in the order
-          :func:`repro.graph.incremental.apply_delta` sums it: the
-          surviving old weight (if any) first, then the added weights in
-          delta order.  Both arcs carry that one sum: a surviving arc
-          takes it in place, a new arc is inserted at its sorted
-          position;
-        * new vertices' rows go at the end (their births exceed every
-          old birth), and ``xadj`` is rebuilt from per-row arc counts.
-
-        The cost is O(arcs of the touched blocks) plus writing them;
-        nothing is hashed or sorted at block size.  Validation, the
-        order and text of the errors, ``strict``, ``accumulate_weights``
-        and the resulting id mapping match
-        :func:`repro.graph.incremental.apply_delta` on the assembled
-        monolith exactly (property-tested).  Every check runs before the
+        The cost is O(arcs of the touched blocks) plus writing them.
+        Validation, the order and text of the errors, ``strict``,
+        ``accumulate_weights`` and the resulting id mapping are the
+        monolith's, from the same helpers; every check runs before the
         first block is written.  New blocks go under fresh revisions;
         ``self`` remains a valid handle on the pre-delta graph until
         :meth:`drop_blocks_not_in` garbage-collects one side.
         """
         n = self.num_vertices
         n_add = delta.num_added_vertices
-
-        # --- validate delta references (mirrors monolithic apply_delta) --
-        if len(delta.deleted_vertices) and (
-            delta.deleted_vertices[0] < 0 or delta.deleted_vertices[-1] >= n
-        ):
-            raise GraphError("deleted vertex id out of range")
-        limit = n + n_add
-        if len(delta.added_edges) and (
-            delta.added_edges.min() < 0 or delta.added_edges.max() >= limit
-        ):
-            raise GraphError("added edge endpoint out of range")
-        if len(delta.deleted_edges) and (
-            delta.deleted_edges.min() < 0 or delta.deleted_edges.max() >= n
-        ):
-            raise GraphError("deleted edge endpoint out of range")
-        deleted_mask = np.zeros(n, dtype=bool)
-        deleted_mask[delta.deleted_vertices] = True
-        if len(delta.added_edges):
-            old_endpoints = delta.added_edges[delta.added_edges < n]
-            if np.any(deleted_mask[old_endpoints]):
-                raise GraphError("added edge references a deleted vertex")
-
-        # --- current-frame renumbering (identical to the monolith) -------
-        survivors = np.flatnonzero(~deleted_mask)
-        old_to_new = np.full(n, -1, dtype=np.int64)
-        old_to_new[survivors] = np.arange(len(survivors), dtype=np.int64)
-        n_new = len(survivors) + n_add
-        new_vertex_ids = np.arange(len(survivors), n_new, dtype=np.int64)
-        is_new = np.zeros(n_new, dtype=bool)
-        is_new[new_vertex_ids] = True
-
-        # --- birth bookkeeping & touched-shard gather --------------------
+        _check_refs(delta, n)
+        survivors, old_to_new, new_vertex_ids, is_new = _renumber(
+            n, delta.deleted_vertices, n_add
+        )
         new_births = np.arange(
             self.next_birth, self.next_birth + n_add, dtype=np.int64
         )
-        births_after = np.concatenate([self.births[survivors], new_births])
-        dead_births, mirrors, del_edges, add_edges, routed, owner_ext = (
-            self._delta_frames(delta)
-        )
-        touched = self._touched_for(
-            dead_births, mirrors, del_edges, add_edges, routed, owner_ext
-        )
+        birth_of = np.concatenate([self.births, new_births])
         m = np.int64(self.next_birth + n_add)
-        dead_owner = self.shard_of_birth[dead_births]
 
-        # Arcs to drop, looked up from their source's row: both
-        # orientations of each deleted edge, then the mirror arcs.
-        k_del = len(del_edges)
-        drop = np.concatenate([del_edges, del_edges[:, ::-1], mirrors])
+        # Arcs to drop, each looked up from its source's row: both
+        # orientations of each deleted edge, then the arcs that point at
+        # a deleted vertex, read off its own row.
+        dead = self.births[delta.deleted_vertices]
+        dead_owner = self.shard_of_birth[dead]
+        del_edges = birth_of[delta.deleted_edges]
+        drop = [del_edges, del_edges[:, ::-1]]
+        for sid in np.unique(dead_owner):
+            block = self.shard_block(int(sid))
+            mine = dead[dead_owner == sid]
+            idx, deg = _row_gather(block.xadj, np.searchsorted(block.births, mine))
+            drop.append(np.column_stack([block.adj[idx], np.repeat(mine, deg)]))
+        drop = np.concatenate(drop)
         drop_owner = self.shard_of_birth[drop[:, 0]]
         drop_hit = np.zeros(len(drop), dtype=bool)
 
-        # Distinct added edges (canonical birth keys; np.unique keeps each
-        # one's first occurrence) and their arcs in both orientations,
-        # sorted by (source, target) birth: within a block that is row
-        # order, so each block's share is already in splice order.
-        lo, hi = add_edges.min(axis=1), add_edges.max(axis=1)
-        uniq, first, inv = np.unique(
-            lo * m + hi, return_index=True, return_inverse=True
+        routed = self.route_new_vertices(delta)
+        owner = np.concatenate([self.shard_of_birth, routed])
+        first, inv, ins_src, ins_dst, ins_edge = _added_arcs(
+            birth_of[delta.added_edges], m
         )
-        ins_src = np.concatenate([uniq // m, uniq % m])
-        ins_dst = np.concatenate([uniq % m, uniq // m])
-        order = np.argsort(ins_src * m + ins_dst)
-        ins_src, ins_dst = ins_src[order], ins_dst[order]
-        ins_edge = np.tile(np.arange(len(uniq), dtype=np.int64), 2)[order]
-        ins_owner = owner_ext[ins_src]
-        on_old = np.zeros(len(uniq), dtype=bool)
+        ins_owner = owner[ins_src]
+        on_old = np.zeros(len(first), dtype=bool)
+        add_w = _added_eweights(delta)
+        add_vw = _added_vweights(delta)
+        add_coords = (
+            None if self.coords_dim is None
+            else _added_coords(delta, self.coords_dim)
+        )
+        touched = np.unique(
+            np.concatenate([dead_owner, drop_owner, ins_owner, routed])
+        ).tolist()
 
-        add_w = (
-            np.ones(len(add_edges), dtype=np.float64)
-            if delta.added_eweights is None
-            else np.asarray(delta.added_eweights, dtype=np.float64)
-        )
-        add_vw = (
-            np.ones(n_add, dtype=np.float64)
-            if delta.added_vweights is None
-            else np.asarray(delta.added_vweights, dtype=np.float64)
-        )
-        add_coords = None
-        if self.coords_dim is not None:
-            add_coords = (
-                np.full((n_add, self.coords_dim), np.nan)
-                if delta.added_coords is None
-                else np.asarray(delta.added_coords, dtype=np.float64).reshape(
-                    n_add, self.coords_dim
-                )
-            )
-
-        # --- splice each touched block -----------------------------------
         revs = self.revs.copy()
         shard_nv = self._shard_nv.copy()
         shard_narcs = self._shard_narcs.copy()
         shard_vw = self._shard_vw.copy()
-        pending_puts: list[tuple[int, ShardBlock]] = []
-        for sid in sorted(touched):
+        fresh: dict[int, ShardBlock] = {}
+        for sid in touched:
             block = self.shard_block(sid)
-            nv = block.num_vertices
-            rows = np.repeat(np.arange(nv, dtype=np.int64), np.diff(block.xadj))
-            keys = rows * m + block.adj
             mine_new = routed == sid
-            ext_births = np.concatenate([block.births, new_births[mine_new]])
-            keep = np.ones(len(keys), dtype=bool)
-            alive = np.ones(len(ext_births), dtype=bool)
-            dead_rows = np.searchsorted(
-                block.births, dead_births[dead_owner == sid]
-            )
-            alive[dead_rows] = False
-            keep[_row_gather(block.xadj, dead_rows)[0]] = False
+            births = np.concatenate([block.births, new_births[mine_new]])
+            dead_rows = np.searchsorted(block.births, dead[dead_owner == sid])
             mine = np.flatnonzero(drop_owner == sid)
-            at, hit = _lookup(
-                keys,
-                np.searchsorted(block.births, drop[mine, 0]) * m + drop[mine, 1],
+            ins = ins_owner == sid
+            counts, adj, w, hit, has_old = _splice(
+                block.xadj, block.adj, block.eweights, m, len(births),
+                dead_rows,
+                (np.searchsorted(block.births, drop[mine, 0]), drop[mine, 1]),
+                (np.searchsorted(births, ins_src[ins]), ins_dst[ins], ins_edge[ins]),
+                inv, add_w,
             )
-            keep[at[hit]] = False
             drop_hit[mine[hit]] = True
-            rows, adj, w = rows[keep], block.adj[keep], block.eweights[keep]
-
-            # This block's added arcs: their source's row, their position
-            # among the surviving arcs, and whether a surviving arc is
-            # there (the edge already exists).
-            mine = np.flatnonzero(ins_owner == sid)
-            row = np.searchsorted(ext_births, ins_src[mine])
-            at, hit = _lookup(rows * m + adj, row * m + ins_dst[mine])
-            edge = ins_edge[mine]
-            # One sum per distinct edge: the surviving old weight first,
-            # then the added weights in delta order (bincount adds in
-            # array order).  Weights are symmetric, so the blocks at both
-            # ends of an edge compute the same sum.
-            has_old = np.zeros(len(uniq), dtype=bool)
-            has_old[edge[hit]] = True
             on_old |= has_old
-            old_w = np.zeros(len(uniq), dtype=np.float64)
-            old_w[edge[hit]] = w[at[hit]]
-            old_idx = np.flatnonzero(has_old)
-            merged = np.bincount(
-                np.concatenate([old_idx, inv]),
-                weights=np.concatenate([old_w[old_idx], add_w]),
-                minlength=len(uniq),
-            )
-            w[at[hit]] = merged[edge[hit]]
-            new = ~hit
-            adj = np.insert(adj, at[new], ins_dst[mine[new]])
-            w = np.insert(w, at[new], merged[edge[new]])
-            counts = np.bincount(rows, minlength=len(alive)) + np.bincount(
-                row[new], minlength=len(alive)
-            )
-            xadj = np.zeros(int(alive.sum()) + 1, dtype=np.int64)
-            np.cumsum(counts[alive], out=xadj[1:])
+            xadj = np.zeros(len(births) - len(dead_rows) + 1, dtype=np.int64)
+            np.cumsum(np.delete(counts, dead_rows), out=xadj[1:])
             coords = None
-            if self.coords_dim is not None:
-                coords = np.vstack(
-                    [
+            if add_coords is not None:
+                coords = np.delete(
+                    np.vstack([
                         block.coords.reshape(-1, self.coords_dim),
-                        add_coords[mine_new].reshape(-1, self.coords_dim),
-                    ]
-                )[alive]
-            new_block = ShardBlock(
-                births=ext_births[alive],
+                        add_coords[mine_new],
+                    ]),
+                    dead_rows, 0,
+                )
+            fresh[sid] = new_block = ShardBlock(
+                births=np.delete(births, dead_rows),
                 xadj=xadj,
                 adj=adj,
                 eweights=w,
-                vweights=np.concatenate([block.vweights, add_vw[mine_new]])[alive],
+                vweights=np.delete(
+                    np.concatenate([block.vweights, add_vw[mine_new]]), dead_rows
+                ),
                 coords=coords,
             )
-            pending_puts.append((sid, new_block))
             revs[sid] += 1
             shard_nv[sid] = new_block.num_vertices
             shard_narcs[sid] = new_block.num_arcs
             shard_vw[sid] = float(new_block.vweights.sum())
 
-        # --- checks, in the monolith's order, before any block is put ----
-        if k_del and strict:
-            found = drop_hit[:k_del] | drop_hit[k_del : 2 * k_del]
-            if not found.all():
-                raise _missing_deletions_error(delta.deleted_edges, found)
-        if len(add_edges) and not accumulate_weights:
-            clash = np.ones(len(inv), dtype=bool)
-            clash[first] = False
-            clash |= on_old[inv]
-            if clash.any():
-                raise _duplicates_error(delta.added_edges, clash)
-        if np.any(lo == hi):
-            raise GraphError("self-loops are not allowed")
-
-        for sid, new_block in pending_puts:
+        _check_splice(
+            delta, drop_hit, on_old, first, inv,
+            strict=strict, accumulate_weights=accumulate_weights,
+        )
+        for sid, new_block in fresh.items():
             self.store.put(shard_key(sid, int(revs[sid])), new_block.to_arrays())
 
         new_graph = ShardedCSRGraph(
             self.store,
             self.num_shards,
-            births=births_after,
-            shard_of_birth=owner_ext,
+            births=np.concatenate([self.births[survivors], new_births]),
+            shard_of_birth=owner,
             revs=revs,
             next_birth=self.next_birth + n_add,
             coords_dim=self.coords_dim,
@@ -1213,8 +1013,8 @@ class ShardedCSRGraph:
             shard_narcs=shard_narcs,
             shard_vw=shard_vw,
         )
-        if pending_puts:
-            new_graph._fresh_blocks = dict(pending_puts)
+        if fresh:
+            new_graph._fresh_blocks = fresh
         return ShardedIncrementalResult(
             graph=new_graph,
             old_to_new=old_to_new,
@@ -1222,7 +1022,7 @@ class ShardedCSRGraph:
             is_new=is_new,
             touched_shards=frozenset(touched),
             new_vertex_shards=routed,
-            arcs_written=int(sum(b.num_arcs for _, b in pending_puts)),
+            arcs_written=int(sum(b.num_arcs for b in fresh.values())),
         )
 
     # ------------------------------------------------------------------

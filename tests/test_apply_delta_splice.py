@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphError
 from repro.graph import CSRGraph
-from repro.graph.incremental import GraphDelta, apply_delta
+from repro.graph.incremental import DeltaComposer, GraphDelta, apply_delta
+from repro.graph.sharded import ShardedCSRGraph
 
 
 def reference_apply(graph, delta, *, strict=True, accumulate_weights=False):
@@ -262,24 +263,47 @@ def test_pure_growth_keeps_old_rows_and_appends():
     assert np.isnan(got.coords[4:]).all()
 
 
-@pytest.mark.parametrize(
-    "delta, kind",
-    [
-        (GraphDelta(deleted_vertices=[4]), "deleted vertex id out of range"),
-        (GraphDelta(added_edges=[(0, 4)]), "added edge endpoint out of range"),
-        (GraphDelta(deleted_edges=[(0, 9)]), "deleted edge endpoint out of range"),
-        (
-            GraphDelta(deleted_vertices=[2], added_edges=[(2, 0)]),
-            "added edge references a deleted vertex",
-        ),
-        (GraphDelta(deleted_edges=[(1, 1)]), "deleted_edges entries do not exist in the graph"),
-        (GraphDelta(added_edges=[(0, 2), (2, 0)]), "added_edges duplicate existing or other added edges"),
-        (GraphDelta(added_edges=[(1, 2)]), "added_edges duplicate existing or other added edges"),
-        (GraphDelta(num_added_vertices=1, added_edges=[(4, 4)]), "self-loops are not allowed"),
-    ],
-)
-def test_error_parity(delta, kind):
-    with pytest.raises(GraphError) as got:
+_ERROR_CASES = [
+    (GraphDelta(deleted_vertices=[4]), "deleted vertex id out of range"),
+    (GraphDelta(added_edges=[(0, 4)]), "added edge endpoint out of range"),
+    (GraphDelta(deleted_edges=[(0, 9)]), "deleted edge endpoint out of range"),
+    (
+        GraphDelta(deleted_vertices=[2], added_edges=[(2, 0)]),
+        "added edge references a deleted vertex",
+    ),
+    (GraphDelta(deleted_edges=[(1, 1)]), "deleted_edges entries do not exist in the graph"),
+    (GraphDelta(added_edges=[(0, 2), (2, 0)]), "added_edges duplicate existing or other added edges"),
+    (GraphDelta(added_edges=[(1, 2)]), "added_edges duplicate existing or other added edges"),
+    (GraphDelta(num_added_vertices=1, added_edges=[(4, 4)]), "self-loops are not allowed"),
+]
+
+
+def _error_params():
+    """Every case on the monolith and the sharded graph; the first four
+    (the reference checks) on the composer too."""
+    for i, (delta, kind) in enumerate(_ERROR_CASES):
+        yield pytest.param("monolith", delta, kind, id=f"delta{i}-{kind}")
+        yield pytest.param("sharded", delta, kind, id=f"sharded-delta{i}-{kind}")
+        if i < 4:
+            yield pytest.param(
+                "composer", delta, kind, id=f"composer-delta{i}-{kind}"
+            )
+
+
+def _apply_on(side: str, graph: CSRGraph, delta: GraphDelta):
+    if side == "monolith":
+        return apply_delta(graph, delta)
+    if side == "sharded":
+        return ShardedCSRGraph.from_csr(graph, 2).apply_delta(delta)
+    return DeltaComposer(graph).fold(delta)
+
+
+@pytest.mark.parametrize("side, delta, kind", list(_error_params()))
+def test_error_parity(side, delta, kind):
+    with pytest.raises(GraphError) as mono:
         apply_delta(_square(), delta)
+    with pytest.raises(GraphError) as got:
+        _apply_on(side, _square(), delta)
+    assert str(got.value) == str(mono.value)
     assert _error_kind(got.value) == kind
     assert_matches_reference(_square(), delta)

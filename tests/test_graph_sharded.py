@@ -181,17 +181,6 @@ class TestDeltaEquivalence:
         assert int(inc.graph.revs[0]) == 1
         assert np.all(np.asarray(inc.graph.revs[1:]) == 0)
 
-    def test_touched_shards_preview_matches_apply(self, grid):
-        sharded = ShardedCSRGraph.from_csr(grid, 8)
-        delta = GraphDelta(
-            num_added_vertices=2,
-            added_edges=[(0, 64), (63, 65)],
-            deleted_vertices=[27],
-        )
-        preview = sharded.touched_shards(delta)
-        inc = sharded.apply_delta(delta)
-        assert frozenset(preview) == inc.touched_shards
-
     def test_strict_missing_deletion_raises_like_monolith(self, grid):
         sharded = ShardedCSRGraph.from_csr(grid, 4)
         delta = GraphDelta(deleted_edges=[(0, 9)])  # not a grid edge
@@ -351,6 +340,88 @@ class TestPropertyEquivalence:
             sharded.drop_blocks_not_in(inc_s.graph)
             mono, sharded = inc_m.graph, inc_s.graph
             sharded.validate()
+
+
+def reference_route(sharded, delta):
+    """New-vertex routing as a per-edge Python loop: the rules
+    ``route_new_vertices`` must keep."""
+    n = sharded.num_vertices
+    n_add = delta.num_added_vertices
+    routed = np.full(n_add, -1, dtype=np.int64)
+    votes = [dict() for _ in range(n_add)]
+    new_links = [[] for _ in range(n_add)]
+    for u, v in delta.added_edges:
+        for a, b in ((int(u), int(v)), (int(v), int(u))):
+            if a >= n:
+                if b < n:
+                    sid = int(sharded.shard_of_birth[sharded.births[b]])
+                    votes[a - n][sid] = votes[a - n].get(sid, 0) + 1
+                else:
+                    new_links[a - n].append(b - n)
+    sizes = sharded.shard_sizes()
+    for j in range(n_add):
+        if votes[j]:
+            routed[j] = max(votes[j].items(), key=lambda kv: (kv[1], -kv[0]))[0]
+            sizes[routed[j]] += 1
+    for j in range(n_add):
+        if routed[j] < 0:
+            linked = [k for k in new_links[j] if routed[k] >= 0]
+            routed[j] = routed[min(linked)] if linked else int(np.argmin(sizes))
+            sizes[routed[j]] += 1
+    return routed
+
+
+@st.composite
+def routing_case(draw):
+    """A sharded graph (after some deletions, so births are not the
+    current ids) and a delta whose new vertices have old neighbours,
+    new neighbours only, or none, with repeated edges and vote ties."""
+    n = draw(st.integers(0, 12))
+    num_shards = draw(st.integers(1, 4))
+    assignment = draw(st.lists(
+        st.integers(0, num_shards - 1), min_size=n, max_size=n
+    ))
+    sharded = ShardedCSRGraph.from_csr(
+        CSRGraph.from_edges(n, []), num_shards, assignment=assignment
+    )
+    dead = draw(st.lists(st.integers(0, n - 1), max_size=3)) if n else []
+    sharded = sharded.apply_delta(GraphDelta(deleted_vertices=dead)).graph
+    n_cur = sharded.num_vertices
+    n_add = draw(st.integers(0, 6))
+    edges = []
+    if n_add:
+        new = st.integers(n_cur, n_cur + n_add - 1)
+        kinds = [st.tuples(new, new)]
+        if n_cur:
+            old = st.integers(0, n_cur - 1)
+            kinds += [st.tuples(new, old), st.tuples(old, new)]
+        edges = draw(st.lists(st.one_of(kinds), max_size=12))
+    return sharded, GraphDelta(num_added_vertices=n_add, added_edges=edges)
+
+
+class TestRouting:
+    @given(routing_case())
+    @settings(deadline=None)
+    def test_route_new_vertices_matches_reference_loop(self, case):
+        sharded, delta = case
+        routed = sharded.route_new_vertices(delta)
+        assert routed.tolist() == reference_route(sharded, delta).tolist()
+
+    def test_routing_rules(self, grid):
+        # Shards of 16 vertices each: 0-15, 16-31, 32-47, 48-63.
+        sharded = ShardedCSRGraph.from_csr(grid, 4)
+        delta = GraphDelta(
+            num_added_vertices=7,
+            added_edges=[
+                (64, 0), (64, 16),            # tie: the smaller shard
+                (65, 20), (65, 21), (65, 40),  # majority
+                (66, 67), (67, 50),           # new-only: 67's vote-routed shard
+                (69, 70),                     # new-only chain, nothing routed
+            ],                                # 68 is isolated
+        )
+        # After the votes the sizes are 17, 17, 16, 17; 66 joins shard 3,
+        # 68 the smallest (2), 69 the smallest then (0) and 70 follows it.
+        assert sharded.route_new_vertices(delta).tolist() == [0, 1, 3, 3, 2, 0, 0]
 
 
 class TestApplyDeltaRegressions:
