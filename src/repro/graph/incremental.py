@@ -329,7 +329,7 @@ def _splice(
 
     ins_row, ins_dst, ins_edge = ins
     at, hit = _lookup(keys, ins_row * m + ins_dst)
-    num_edges = len(inv) and int(inv.max()) + 1
+    num_edges = int(inv.max()) + 1 if len(inv) else 0
     on_old = np.zeros(num_edges, dtype=bool)
     on_old[ins_edge[hit]] = True
     old_w = np.zeros(num_edges)
